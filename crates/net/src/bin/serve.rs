@@ -10,8 +10,8 @@
 //!    bounded ingest queues from producer threads;
 //! 3. rolls out a freshly trained SVM predictor + DQN policy checkpoint
 //!    mid-run through the guarded promotion pipeline — the first delivery
-//!    is poisoned (NaN weights) by the fault injector and dies at the
-//!    admission probe with a typed error; the clean retry is admitted and
+//!    is a poisoned (NaN-weight) checkpoint and dies at the admission
+//!    probe with a typed error; the clean retry is admitted and
 //!    staged through shadow evaluation and a canary shard before
 //!    fleet-wide promotion, all without pausing ingestion;
 //! 4. snapshots the whole service at an epoch boundary — with the canary
@@ -42,7 +42,7 @@ use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::{
-    CheckpointPoison, Clock, DispatchService, EpochScheduler, Event, FaultInjector, FaultPlan,
+    poisoned_policy_text, CheckpointPoison, Clock, DispatchService, EpochScheduler, Event,
     FsyncPolicy, ModelRegistry, RolloutConfig, RolloutError, ServeConfig, ServeError, SimClock,
     TrainerConfig, WalConfig, WallClock,
 };
@@ -546,19 +546,15 @@ fn run_demo(args: &Args) -> Result<(), ServeError> {
         ..SimConfig::paper(start_hour)
     };
     let rl = RlDispatchConfig::default();
-    // The fault injector will poison the first checkpoint delivery with
-    // NaN weights: the rollout admission probe must reject it, typed, and
-    // the clean retry goes through the staged pipeline. Slacks are wide
-    // open so a demo-sized candidate promotes — gate *strictness* is the
-    // chaos suite's job; the demo shows the stages.
-    let injector = Arc::new(FaultInjector::new(
-        FaultPlan::empty().with_poisoned_checkpoint(CheckpointPoison::NanWeights),
-    ));
+    // The first checkpoint delivery carries NaN weights: the rollout
+    // admission probe must reject it, typed, and the clean retry goes
+    // through the staged pipeline. Slacks are wide open so a demo-sized
+    // candidate promotes — gate *strictness* is the chaos suite's job;
+    // the demo shows the stages.
     let config = ServeConfig {
         num_shards: NUM_SHARDS,
         sim: sim.clone(),
         rl: rl.clone(),
-        faults: Some(Arc::clone(&injector)),
         rollout: RolloutConfig {
             shadow_epochs: 2,
             shadow_slack: 1e9,
@@ -586,8 +582,9 @@ fn run_demo(args: &Args) -> Result<(), ServeError> {
     )?);
 
     // Phase 1: epochs 0..PHASE1_EPOCHS with a mid-run guarded rollout.
-    // The first delivery of the trained checkpoint is poisoned in transit;
-    // admission rejects it and the retry enters the pipeline.
+    // The first delivery of the trained checkpoint is poisoned in transit
+    // (NaN weights); admission rejects it and the retry enters the
+    // pipeline.
     ingest_epoch(&service, &scenario, 0);
     let mut scheduler = EpochScheduler::for_service(&service)?;
     let mut swap_failed = None;
@@ -605,7 +602,8 @@ fn run_demo(args: &Args) -> Result<(), ServeError> {
                 println!("  submitting freshly trained SVM + DQN checkpoints for rollout...");
                 match train_candidate(&rl_cb) {
                     Ok((predictor_text, policy_text)) => {
-                        match service_cb.submit_rollout(Some(&predictor_text), Some(&policy_text)) {
+                        let poisoned = poisoned_policy_text(CheckpointPoison::NanWeights);
+                        match service_cb.submit_rollout(Some(&predictor_text), Some(&poisoned)) {
                             Err(ServeError::Rollout(RolloutError::Probe { artifact, message })) => {
                                 println!(
                                     "  checkpoint delivery was corrupted in transit; admission \
@@ -736,11 +734,6 @@ fn run_demo(args: &Args) -> Result<(), ServeError> {
     assert_eq!(rollouts.rejected, 1, "the poisoned delivery was rejected");
     assert_eq!(rollouts.admitted, 1, "the clean retry was admitted");
     assert_eq!(rollouts.rolled_back, 0, "nothing regressed");
-    assert_eq!(
-        injector.counters().poisoned_checkpoints,
-        1,
-        "the scheduled poison fired"
-    );
     println!(
         "rollout pipeline: {} rejected (poisoned), {} admitted, {} rolled back",
         rollouts.rejected, rollouts.admitted, rollouts.rolled_back

@@ -13,10 +13,11 @@
 //! 1. **No epoch skipped silently** — the service completes exactly the
 //!    requested number of epochs and every epoch yields one report per
 //!    shard, faults or not.
-//! 2. **Metrics conservation** — admitted + shed equals offered, minus
-//!    events the injector dropped/corrupted/still holds in flight, plus
-//!    duplicates; and everything admitted is either injected into a
-//!    world, rejected by it, or still queued.
+//! 2. **Metrics conservation** — admitted + shed equals the push
+//!    attempts that reached the service plus its retries, tallied by the
+//!    harness (which applies the ingest faults itself); and everything
+//!    admitted is either injected into a world, rejected by it, or still
+//!    queued.
 //! 3. **Degradation is honest** — `degraded_epochs` is positive iff a
 //!    degrading fault (stall past the deadline, failed swap) actually
 //!    fired, and never exceeds the number fired.
@@ -24,10 +25,16 @@
 //!    exactly one shard restart.
 //! 5. **Snapshot integrity** — the final snapshot restores to an equal
 //!    service when written cleanly, and is *rejected with a typed error*
-//!    when the injector corrupted the write.
+//!    when the harness corrupted the write.
 //! 6. **Swap-failure attribution** — every injected registry failure is
 //!    counted under its typed cause ([`crate::SwapError::Injected`]), and
 //!    no build or rollout failure claims one.
+//!
+//! The service applies only the in-process faults (shard stalls and
+//! crashes, swap failures, trainer and WAL faults). Faults at its
+//! boundary — dropped, delayed, duplicated or corrupted offers, damaged
+//! snapshot writes, poisoned checkpoints — are applied here, by the
+//! caller, through the same [`FaultInjector`] draws.
 //!
 //! [`rollout_chaos_divergence`] adds the poisoned-checkpoint invariants:
 //! an inadmissible or shadow-stage candidate never serves a primary
@@ -53,8 +60,8 @@ use crate::clock::{Clock, SimClock};
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{
-    CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, ScheduledFaults,
-    TrainerFault, WalFault,
+    CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault,
+    ScheduledFaults, TrainerFault, WalFault,
 };
 use crate::metrics::MetricsSnapshot;
 use crate::registry::ModelRegistry;
@@ -229,17 +236,40 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let retry = RetryPolicy::default();
     let mut violations = Vec::new();
 
-    // Offers are counted locally too, so the injector's bookkeeping is
-    // cross-checked against an independent tally.
-    let mut offered = 0u64;
+    // The harness applies the ingest faults: one draw per offer (a retry
+    // re-sends the same offer and draws nothing), and it tallies every
+    // push attempt that reaches the service for the conservation check.
+    let mut delivered = 0u64;
     let mut rejected_corrupt = 0u64;
+    let mut held: Vec<(u32, Event)> = Vec::new();
     let mut ingest = |service: &DispatchService, epoch: u32| {
+        let mut send = |event: Event| match service.ingest_with_retry(event, &retry) {
+            Ok(_) => delivered += 1,
+            Err(ServeError::World(_)) => rejected_corrupt += 1,
+            Err(e) => violations.push(format!("unexpected ingest error: {e}")),
+        };
+        // Delayed offers whose release epoch has arrived go first, in
+        // arrival order.
+        for (_, event) in held.extract_if(.., |(release, _)| *release <= epoch) {
+            injector.note_delay_released();
+            send(event);
+        }
         for event in request_events(epoch, opts.num_shards, opts.requests_per_epoch, segments) {
-            offered += 1;
-            match service.ingest_with_retry(event, &retry) {
-                Ok(_) => {}
-                Err(ServeError::World(_)) => rejected_corrupt += 1,
-                Err(e) => violations.push(format!("unexpected ingest error: {e}")),
+            match injector.next_ingest_fault() {
+                None => send(event),
+                Some(IngestFault::Drop) => {}
+                Some(IngestFault::Delay(epochs)) => held.push((epoch + epochs.max(1), event)),
+                Some(IngestFault::Duplicate) => {
+                    send(event);
+                    send(event);
+                }
+                Some(IngestFault::Corrupt) => send(Event::Request {
+                    shard: event.shard(),
+                    spec: RequestSpec {
+                        appear_s: 0,
+                        segment: SegmentId(u32::MAX),
+                    },
+                }),
             }
         }
         // A couple of advisories per epoch keep the advisory path hot
@@ -274,11 +304,14 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
             // would. With the pipeline's default gates the candidate is
             // usually still in flight at the end of the run, which drags
             // the rollout state through the snapshot-integrity check.
-            let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
-            match service.submit_rollout(None, Some(&policy)) {
+            // A scheduled checkpoint poison replaces the candidate in
+            // transit, before the service sees it.
+            let policy =
+                injector.poison_checkpoint(Some(mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5))));
+            match service.submit_rollout(None, policy.as_deref()) {
                 Ok(_) => {}
-                // A scheduled checkpoint poison replaced the candidate in
-                // flight; the typed admission rejection *is* the contract.
+                // The typed admission rejection of a poison *is* the
+                // contract.
                 Err(ServeError::Rollout(_)) if scheduled.poisoned_checkpoints > 0 => {}
                 Err(e) => short_epochs.push(format!("guarded rollout submission failed: {e}")),
             }
@@ -309,32 +342,22 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
         }
     }
 
-    // Invariant 2: conservation. Every offer the injector saw either
-    // produced queue pushes (admitted or shed) or is accounted for as
-    // dropped, corrupted, or delayed-in-flight; duplicates and released
-    // delays add pushes.
-    // Every retry re-offers through the injector, so the injector's offer
-    // count is the harness's events plus the service's retry count.
-    if counters.offers != offered + metrics.ingest_retries {
-        violations.push(format!(
-            "injector saw {} offers, harness made {} (+{} retries)",
-            counters.offers, offered, metrics.ingest_retries
-        ));
-    }
+    // Invariant 2: conservation. Every push attempt that reached the
+    // service — each delivered offer once, plus every retry — was either
+    // admitted or shed.
     if rejected_corrupt != counters.corrupts {
         violations.push(format!(
             "{} typed corrupt rejections for {} corrupt faults",
             rejected_corrupt, counters.corrupts
         ));
     }
-    let pushes_expected = counters.offers - counters.drops - counters.corrupts - counters.delays
-        + counters.duplicates
-        + counters.delays_released;
     let pushes = metrics.requests_accepted + metrics.requests_shed;
-    if pushes != pushes_expected {
+    let attempts = delivered + metrics.ingest_retries;
+    if pushes != attempts {
         violations.push(format!(
-            "accepted {} + shed {} = {pushes}, conservation expects {pushes_expected}",
-            metrics.requests_accepted, metrics.requests_shed
+            "accepted {} + shed {} = {pushes}, but {delivered} offers (+{} retries) \
+             reached the service",
+            metrics.requests_accepted, metrics.requests_shed, metrics.ingest_retries
         ));
     }
     let consumed: u64 = metrics
@@ -397,7 +420,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
 
     // Invariant 5: snapshot integrity. A clean write restores to an equal
     // service; a corrupted write is rejected with a typed error.
-    let snapshot = service.snapshot()?;
+    let snapshot = injector.corrupt_snapshot(service.snapshot()?);
     let wrote_corrupted = injector.counters().snapshot_corruptions > counters.snapshot_corruptions;
     let restored = DispatchService::restore(
         Arc::clone(&scenario),
@@ -632,11 +655,10 @@ pub fn rollout_chaos_divergence(
         for &kind in poisons {
             plan = plan.with_poisoned_checkpoint(kind);
         }
-        let injector = Arc::new(FaultInjector::new(plan));
+        let injector = FaultInjector::new(plan);
         let mut config = ServeConfig::new(SimConfig::small(6));
         config.num_shards = opts.num_shards;
         config.request_queue_capacity = 8;
-        config.faults = Some(Arc::clone(&injector));
         config.rollout = rollout_cfg.clone();
         let clock: Arc<SimClock> = Arc::new(SimClock::new());
         let registry = Arc::new(ModelRegistry::new(None, Some(good_net.clone())));
@@ -655,11 +677,12 @@ pub fn rollout_chaos_divergence(
         }
         scheduler.run(&service, clock.as_ref(), opts.epochs, |e, _| {
             // One submission at a time: poisoned deliveries first, the
-            // genuine candidate at `good_at`. Every submission sends the
+            // genuine candidate at `good_at`. Every delivery starts as the
             // *good* text — the injector swaps the poison in transit.
             if e < opts.good_at && service.rollout_status().is_none() {
                 if let Some(kind) = pending.pop_front() {
-                    let outcome = service.submit_rollout(None, Some(&good_text));
+                    let delivered = injector.poison_checkpoint(Some(good_text.clone()));
+                    let outcome = service.submit_rollout(None, delivered.as_deref());
                     match (kind, outcome) {
                         (CheckpointPoison::RewardTank, Ok(_)) => {}
                         (

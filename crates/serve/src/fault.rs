@@ -5,9 +5,13 @@
 //! worker processes die mid-epoch, model pushes fail, checkpoints get
 //! truncated on a failing disk. This module makes those conditions a
 //! *first-class, reproducible test input*: a [`FaultPlan`] is a seeded,
-//! inspectable schedule of faults, and a [`FaultInjector`] applies it —
-//! each fault exactly once — at the hook points threaded through
-//! [`crate::DispatchService`] and its shard workers.
+//! inspectable schedule of faults, and a [`FaultInjector`] hands each
+//! fault out exactly once. In-process faults (shard, swap, trainer, WAL)
+//! fire at hooks inside [`crate::DispatchService`] and its shard workers;
+//! boundary faults (ingest offers, snapshot writes, checkpoint
+//! deliveries) are drawn and applied by the caller — the chaos harnesses
+//! — so the service's ingest, snapshot and rollout-submission paths never
+//! consult the plan.
 //!
 //! Determinism is the whole point. The plan is fully decided up front from
 //! a seed (via the vendored `rand` shim), every fault is consumed
@@ -27,16 +31,16 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A fault applied to one rescue request offered to
+/// A fault a chaos harness applies to one rescue request on its way to
 /// [`crate::DispatchService::ingest`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IngestFault {
-    /// The event is lost: not queued, reported as not admitted.
+    /// The event is lost: never delivered.
     Drop,
-    /// The event is deferred by this many epochs before reaching its
-    /// shard's queue (network delay / out-of-order delivery).
+    /// The event is held back this many epochs before it is delivered
+    /// (network delay / out-of-order delivery).
     Delay(u32),
-    /// The event is enqueued twice (at-least-once delivery upstream).
+    /// The event is delivered twice (at-least-once delivery upstream).
     Duplicate,
     /// The event's payload is damaged in flight; the service's validation
     /// must reject it with a typed error.
@@ -113,7 +117,7 @@ pub enum WalFault {
     FsyncStall(u64),
 }
 
-/// How a submitted checkpoint is poisoned before it reaches the rollout
+/// How a checkpoint delivery is poisoned before it reaches the rollout
 /// pipeline's admission gate (a corrupted training job, a bad export, or
 /// an adversarially regressed policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -169,10 +173,10 @@ pub struct FaultPlanConfig {
     /// Stall magnitude, clock milliseconds (choose it above the service's
     /// epoch deadline to guarantee the fallback trips).
     pub stall_ms: u64,
-    /// How many [`crate::DispatchService::snapshot`] calls get corrupted
-    /// on write.
+    /// How many snapshot writes get corrupted (the harness damages the
+    /// text [`crate::DispatchService::snapshot`] returned).
     pub snapshot_corruptions: u32,
-    /// How many rollout submissions get their policy checkpoint replaced
+    /// How many rollout deliveries get their policy checkpoint replaced
     /// with a poisoned one (kinds cycle NaN → wrong-dims → reward-tank).
     pub poisoned_checkpoints: u32,
     /// Frame offers over the TCP front door covered by connection-fault
@@ -611,13 +615,13 @@ impl FaultPlan {
 
 /// Cumulative counts of faults that actually *fired* during a run.
 ///
-/// `delays_released` is incremented by the service when a deferred event
-/// finally reaches its queue; `delays - delays_released` is therefore the
-/// number of delayed events still in flight — the "retried/delayed
-/// in-flight" term of the chaos harness's conservation invariant.
+/// `delays_released` is incremented by the chaos harness when it finally
+/// delivers a held-back event; `delays - delays_released` is therefore
+/// the number of delayed events still in flight.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultCounters {
-    /// Request offers inspected by the injector (including retries).
+    /// Request offers the harness drew an ingest decision for (one per
+    /// offer; retries re-send without drawing).
     pub offers: u64,
     /// Offers dropped.
     pub drops: u64,
@@ -637,7 +641,7 @@ pub struct FaultCounters {
     pub swap_fails: u64,
     /// Snapshot writes corrupted.
     pub snapshot_corruptions: u64,
-    /// Rollout submissions whose checkpoint was poisoned.
+    /// Rollout deliveries whose checkpoint was poisoned.
     pub poisoned_checkpoints: u64,
     /// Mid-frame disconnects fired at the front door.
     pub conn_disconnects: u64,
@@ -849,7 +853,7 @@ impl FaultInjector {
         fault
     }
 
-    /// Notes that a deferred event reached its queue.
+    /// Notes that a held-back event was delivered.
     pub(crate) fn note_delay_released(&self) {
         self.c_delays_released.fetch_add(1, Ordering::Relaxed);
     }

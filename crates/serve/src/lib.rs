@@ -30,8 +30,12 @@
 //!   [`FaultInjector`], [`chaos`]) — a seeded, deterministic fault
 //!   schedule (drop/delay/duplicate/corrupt ingestion, stall/crash a
 //!   shard, fail a hot-swap, poison a checkpoint, corrupt a snapshot
-//!   write) threaded through the service, paired with the recovery it
-//!   demands: bounded ingestion retry, per-epoch dispatch deadline with
+//!   write). The service applies the in-process faults (shard, hot-swap,
+//!   trainer and WAL faults) through `ServeConfig::faults`; the chaos
+//!   harnesses apply the boundary faults (offers, snapshot writes,
+//!   checkpoint deliveries) themselves, so the ingest path never
+//!   branches on a plan. Paired with the recovery the faults
+//!   demand: bounded ingestion retry, per-epoch dispatch deadline with
 //!   fallback to the heuristic dispatcher (`degraded_epochs`),
 //!   crash-restart from the last boundary checkpoint, and
 //!   checksum-validated snapshots.

@@ -1,12 +1,12 @@
 //! The dispatch service: sharded runner, ingestion front, epoch barrier,
 //! snapshot/restore, and the recovery machinery exercised by the chaos
-//! harness (bounded ingestion retry, delayed-event release, shard
-//! crash-restart from the last boundary checkpoint).
+//! harness (bounded ingestion retry, shard crash-restart from the last
+//! boundary checkpoint).
 
 use crate::clock::{Clock, ClockTimeSource};
 use crate::error::ServeError;
 use crate::event::Event;
-use crate::fault::{reward_tank_policy_text, IngestFault, TrainerFault, WalFault};
+use crate::fault::{reward_tank_policy_text, TrainerFault, WalFault};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
 use crate::queue::{BoundedQueue, ShedPolicy};
 use crate::registry::{ModelBundle, ModelRegistry};
@@ -44,19 +44,17 @@ pub struct ServeConfig {
     pub request_queue_capacity: usize,
     /// Capacity of the shared weather/road-damage advisory queue.
     pub advisory_queue_capacity: usize,
-    /// Shed policy for request queues (default: reject the newcomer —
-    /// already-accepted rescues are not silently forgotten).
-    pub request_shed: ShedPolicy,
-    /// Shed policy for advisories (default: evict the oldest — fresh
-    /// observations supersede stale ones).
-    pub advisory_shed: ShedPolicy,
     /// Per-shard simulation settings (the dispatch period is the paper's
     /// 5-minute tick).
     pub sim: SimConfig,
     /// Dispatcher settings shared by all shards.
     pub rl: RlDispatchConfig,
     /// Deterministic fault schedule for chaos testing (`None` in
-    /// production: every hook is a no-op).
+    /// production: every hook is a no-op). The service applies only the
+    /// in-process faults a caller cannot cause — shard stalls and
+    /// crashes, swap failures, trainer faults, WAL appends — and never
+    /// consults it on the ingest, snapshot or rollout-submission paths:
+    /// boundary faults are the chaos harness's to apply.
     pub faults: Option<Arc<FaultInjector>>,
     /// Per-epoch dispatch compute budget, ms. A shard whose primary
     /// dispatcher exceeds it discards the late plan and replans with the
@@ -97,8 +95,6 @@ impl ServeConfig {
             num_shards: 1,
             request_queue_capacity: 1_024,
             advisory_queue_capacity: 256,
-            request_shed: ShedPolicy::DropNewest,
-            advisory_shed: ShedPolicy::DropOldest,
             sim,
             rl: RlDispatchConfig::default(),
             faults: None,
@@ -132,15 +128,6 @@ impl Default for RetryPolicy {
             backoff_multiplier: 2,
         }
     }
-}
-
-/// A request deferred in flight by an injected [`IngestFault::Delay`],
-/// waiting for its release epoch.
-#[derive(Debug, Clone)]
-struct DelayedRequest {
-    release_epoch: u32,
-    shard: usize,
-    spec: RequestSpec,
 }
 
 /// Mutable service-level accounting, behind one lock. Monotonic counters
@@ -191,7 +178,6 @@ pub struct DispatchService {
     // through `&self` during crash recovery (and because the non-`Sync`
     // receiver must not be shared bare across the `Arc`).
     shards: Vec<Mutex<ShardHandle>>,
-    delayed: Mutex<Vec<DelayedRequest>>,
     // Last boundary checkpoint per shard (auto-recover only).
     checkpoints: Mutex<Vec<Option<String>>>,
     obs: Arc<Registry>,
@@ -259,17 +245,20 @@ impl DispatchService {
         // Validate once on the caller's thread so workers cannot fail
         // construction.
         World::new(&scenario.city, &scenario.conditions, &config.sim)?;
+        // Requests reject the newcomer (already-accepted rescues are not
+        // silently forgotten); advisories evict the oldest (fresh
+        // observations supersede stale ones).
         let request_queues: Vec<_> = (0..config.num_shards)
             .map(|_| {
                 Arc::new(BoundedQueue::new(
                     config.request_queue_capacity,
-                    config.request_shed,
+                    ShedPolicy::DropNewest,
                 ))
             })
             .collect();
         let advisories = Arc::new(BoundedQueue::new(
             config.advisory_queue_capacity,
-            config.advisory_shed,
+            ShedPolicy::DropOldest,
         ));
         let obs = config.obs.clone().unwrap_or_default();
         let make_spec = |scenario: &Arc<Scenario>| ShardSpec {
@@ -338,7 +327,6 @@ impl DispatchService {
             request_queues,
             advisories,
             shards,
-            delayed: Mutex::new(Vec::new()),
             checkpoints: Mutex::new(checkpoints),
             obs,
             retries,
@@ -398,12 +386,11 @@ impl DispatchService {
                     ),
                 }));
             }
-            // Replay bypasses journaling and fault injection: the record
-            // is already durable and the fault schedule already fired for
-            // it in the run that journaled it. Every journaled record was
-            // admitted (and acked) by the crashed process, so an overflow
-            // here means the queue capacity shrank across the restart —
-            // refuse rather than silently shed a durable request.
+            // Replay bypasses journaling: the record is already durable.
+            // Every journaled record was admitted (and acked) by the
+            // crashed process, so an overflow here means the queue
+            // capacity shrank across the restart — refuse rather than
+            // silently shed a durable request.
             if !self.request_queues[rec.shard].push(rec.spec) {
                 return Err(ServeError::ReplayOverflow {
                     shard: rec.shard,
@@ -428,58 +415,27 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Journals a batch of admitted offers for `shard` under an
-    /// already-held journal lock. Callers must complete the matching
-    /// queue pushes *before releasing `guard`*: [`snapshot`] captures
-    /// the high-water mark and the queue contents in one journal
-    /// critical section, so journal-and-push must be atomic with
-    /// respect to it — a record at `seq <= hwm` is always visible to
-    /// the queue capture, a record past it never is.
-    ///
-    /// Only offers the bounded queue will actually admit may be passed
-    /// in: a journaled record means "admitted and about to be acked",
-    /// or recovery would replay requests no client was ever acked for.
-    ///
-    /// One injected WAL fault is drawn per call with a non-empty batch,
-    /// so a duplicate-fault double push journals as a single group
-    /// commit under one draw (and a shed offer, which never reaches the
-    /// journal, draws nothing).
-    ///
-    /// [`snapshot`]: DispatchService::snapshot
-    fn journal_locked(
-        &self,
-        guard: &mut MutexGuard<'_, Option<Wal>>,
-        shard: usize,
-        specs: &[RequestSpec],
-    ) -> Result<(), ServeError> {
-        let Some(wal) = guard.as_mut() else {
-            return Ok(());
+    /// Appends one admitted offer for `shard` to the journal, applying the
+    /// next scheduled [`WalFault`] (if a [`FaultInjector`] is configured).
+    fn journal(&self, wal: &mut Wal, shard: usize, spec: RequestSpec) -> Result<(), ServeError> {
+        let entry = WalEntry {
+            clock_ms: self.clock.now_ms(),
+            shard,
+            spec,
         };
-        if specs.is_empty() {
-            return Ok(());
-        }
-        let clock_ms = self.clock.now_ms();
-        let entries: Vec<WalEntry> = specs
-            .iter()
-            .map(|spec| WalEntry {
-                clock_ms,
-                shard,
-                spec: *spec,
-            })
-            .collect();
         match self.config.faults.as_ref().and_then(|f| f.next_wal_fault()) {
             Some(WalFault::TornAppend) => {
                 // The append dies mid-write: the tail is torn (and healed
                 // in place, as recovery would), nothing was made durable,
                 // so the caller must refuse the request instead of acking.
-                let err = wal.inject_torn_append(&entries[0]);
+                let err = wal.inject_torn_append(&entry);
                 self.obs
                     .events()
                     .log(Level::Warn, 0, Some(shard), format!("wal: injected {err}"));
                 return Err(ServeError::Wal(err));
             }
             Some(WalFault::SegmentBitFlip) => {
-                wal.append(&entries)?;
+                wal.append(&[entry])?;
                 if let Some((segment, offset)) = wal.inject_bit_flip() {
                     self.obs.events().log(
                         Level::Warn,
@@ -491,10 +447,10 @@ impl DispatchService {
             }
             Some(WalFault::FsyncStall(ms)) => {
                 self.clock.sleep_ms(ms);
-                wal.append(&entries)?;
+                wal.append(&[entry])?;
             }
             None => {
-                wal.append(&entries)?;
+                wal.append(&[entry])?;
             }
         }
         Ok(())
@@ -510,16 +466,20 @@ impl DispatchService {
     ///
     /// The journal lock is held across the push; it serializes every
     /// journaled push, which is what makes the shed check race-free
-    /// (concurrent epoch drains only ever make room).
+    /// (concurrent epoch drains only ever make room). [`snapshot`]
+    /// captures the high-water mark and the queue contents in one
+    /// journal critical section, so a record at `seq <= hwm` is always
+    /// visible to the queue capture and a record past it never is.
     ///
     /// [`snapshot`]: DispatchService::snapshot
     fn journal_push(&self, shard: usize, spec: RequestSpec) -> Result<bool, ServeError> {
         let mut guard = lock(&self.wal);
         let q = &self.request_queues[shard];
-        if q.admittable(1) == 0 {
-            return Ok(q.push(spec));
+        if let Some(wal) = guard.as_mut() {
+            if q.admittable(1) > 0 {
+                self.journal(wal, shard, spec)?;
+            }
         }
-        self.journal_locked(&mut guard, shard, &[spec])?;
         Ok(q.push(spec))
     }
 
@@ -626,11 +586,6 @@ impl DispatchService {
     /// in-flight status, or `None` when the configured gates are all empty
     /// and the candidate was promoted immediately.
     ///
-    /// With a [`FaultInjector`] configured, a scheduled checkpoint poison
-    /// replaces the submitted policy text (a corrupted artifact store);
-    /// admission must then reject it, or — for an adversarially plausible
-    /// poison — the shadow/watch gates must catch it.
-    ///
     /// # Errors
     ///
     /// Returns [`ServeError::Rollout`] with a typed [`RolloutError`]: a
@@ -647,17 +602,7 @@ impl DispatchService {
             self.rollouts_rejected.inc();
             return Err(ServeError::Rollout(RolloutError::InFlight));
         }
-        // The poison hook models a corrupted artifact store: what admission
-        // sees is what the store delivered, not what the trainer submitted.
-        let policy_text = match &self.config.faults {
-            Some(injector) => injector.poison_checkpoint(policy_text.map(str::to_owned)),
-            None => policy_text.map(str::to_owned),
-        };
-        let admitted = rollout::admit(
-            predictor_text,
-            policy_text.as_deref(),
-            self.config.rollout.probe_bound,
-        );
+        let admitted = rollout::admit(predictor_text, policy_text, self.config.rollout.probe_bound);
         let (predictor, policy) = match admitted {
             Ok(models) => models,
             Err(e) => {
@@ -680,7 +625,7 @@ impl DispatchService {
                 policy,
             }),
             predictor_text: predictor_text.map(normalize_text),
-            policy_text: policy_text.as_deref().map(normalize_text),
+            policy_text: policy_text.map(normalize_text),
         };
         let cfg = &self.config.rollout;
         let mut events: Vec<(Level, Option<usize>, String)> = Vec::new();
@@ -991,19 +936,16 @@ impl DispatchService {
     }
 
     /// Offers one event to the ingestion front. Returns `Ok(true)` if it
-    /// was admitted, `Ok(false)` if the bounded queue shed it.
-    ///
-    /// When a [`FaultInjector`] is configured, each *request* offer passes
-    /// through it: the event may be dropped (`Ok(false)`), deferred to a
-    /// later epoch (`Ok(true)` — it is in flight, not lost), enqueued
-    /// twice, or corrupted in flight (rejected by validation with a typed
-    /// error, like any malformed event). Advisories bypass injection.
+    /// was admitted — with a journal configured, only after the request
+    /// is journaled — and `Ok(false)` if the bounded queue shed it.
     ///
     /// # Errors
     ///
-    /// Returns [`ServeError::UnknownShard`] for an out-of-range shard and
+    /// Returns [`ServeError::UnknownShard`] for an out-of-range shard,
     /// [`ServeError::World`] for a request on a segment the city does not
-    /// have — malformed events are rejected at the door, not queued.
+    /// have — malformed events are rejected at the door, not queued — and
+    /// [`ServeError::Wal`] when the journal append fails (the request is
+    /// then not admitted).
     pub fn ingest(&self, event: Event) -> Result<bool, ServeError> {
         let shard = event.shard();
         if shard >= self.config.num_shards {
@@ -1015,45 +957,7 @@ impl DispatchService {
         match event {
             Event::Request { spec, .. } => {
                 self.validate_request(&spec)?;
-                let Some(injector) = &self.config.faults else {
-                    return self.journal_push(shard, spec);
-                };
-                match injector.next_ingest_fault() {
-                    None => self.journal_push(shard, spec),
-                    Some(IngestFault::Drop) => Ok(false),
-                    Some(IngestFault::Delay(epochs)) => {
-                        // Not journaled yet: the spec is journaled when it
-                        // is released into a queue, so replay never
-                        // resurrects a request ahead of its release epoch.
-                        let release_epoch = self.state().epochs_completed + epochs.max(1);
-                        lock(&self.delayed).push(DelayedRequest {
-                            release_epoch,
-                            shard,
-                            spec,
-                        });
-                        Ok(true)
-                    }
-                    Some(IngestFault::Duplicate) => {
-                        // Both push attempts journal as one group commit
-                        // (and one injected-wal-fault draw) — but only
-                        // the copies the bounded queue has room to admit;
-                        // a shed copy must leave no durable trace.
-                        let mut guard = lock(&self.wal);
-                        let q = &self.request_queues[shard];
-                        let room = q.admittable(2);
-                        self.journal_locked(&mut guard, shard, &[spec, spec][..room])?;
-                        let first = q.push(spec);
-                        let _ = q.push(spec);
-                        Ok(first)
-                    }
-                    Some(IngestFault::Corrupt) => {
-                        // The payload is damaged in flight; validation
-                        // rejects it exactly like any malformed event.
-                        Err(ServeError::World(
-                            mobirescue_sim::WorldError::UnknownSegment(SegmentId(u32::MAX)),
-                        ))
-                    }
-                }
+                self.journal_push(shard, spec)
             }
             other => Ok(self.advisories.push(other)),
         }
@@ -1061,9 +965,9 @@ impl DispatchService {
 
     /// [`DispatchService::ingest`] with bounded retry: when the queue
     /// sheds the offer, back off on the service clock and re-offer, up to
-    /// `retry.max_retries` times. Each re-offer is a fresh ingestion (it
-    /// passes through fault injection again). Errors are permanent —
-    /// malformed events are not retried.
+    /// `retry.max_retries` times; every re-offer counts in
+    /// `ingest_retries`. Errors are permanent — malformed events and
+    /// failed journal appends are not retried.
     ///
     /// # Errors
     ///
@@ -1083,54 +987,6 @@ impl DispatchService {
             self.clock.sleep_ms(backoff_ms);
             backoff_ms = backoff_ms.saturating_mul(retry.backoff_multiplier.max(1));
         }
-    }
-
-    /// Moves injection-delayed requests whose release epoch has arrived
-    /// into their shard queues (in arrival order).
-    fn release_due_delayed(&self) {
-        let epoch = self.state().epochs_completed;
-        let mut delayed = lock(&self.delayed);
-        if delayed.is_empty() {
-            return;
-        }
-        let mut pending = Vec::with_capacity(delayed.len());
-        for d in delayed.drain(..) {
-            if d.release_epoch <= epoch {
-                // Journal at release time, atomically with the push (like
-                // every journaled push); if journaling fails the request
-                // stays pending for the next boundary instead of being
-                // silently lost, and a shed release is never journaled.
-                let released = {
-                    let mut guard = lock(&self.wal);
-                    let q = &self.request_queues[d.shard];
-                    if q.admittable(1) == 0 {
-                        let _ = q.push(d.spec);
-                        Ok(())
-                    } else {
-                        self.journal_locked(&mut guard, d.shard, &[d.spec])
-                            .map(|()| {
-                                let _ = q.push(d.spec);
-                            })
-                    }
-                };
-                if let Err(err) = released {
-                    self.obs.events().log(
-                        Level::Warn,
-                        epoch,
-                        Some(d.shard),
-                        format!("wal: delayed release held back: {err}"),
-                    );
-                    pending.push(d);
-                    continue;
-                }
-                if let Some(injector) = &self.config.faults {
-                    injector.note_delay_released();
-                }
-            } else {
-                pending.push(d);
-            }
-        }
-        *delayed = pending;
     }
 
     /// Validates drained advisories against the scenario. Weather and
@@ -1274,10 +1130,9 @@ impl DispatchService {
         Ok(())
     }
 
-    /// Runs one dispatch epoch on every shard (the barrier): releases due
-    /// delayed events, drains each shard's request queue into its world,
-    /// advances all shards one dispatch period in parallel, and collects
-    /// their reports. With `auto_recover`, a shard whose worker died is
+    /// Runs one dispatch epoch on every shard (the barrier): drains each
+    /// shard's request queue into its world, advances all shards one
+    /// dispatch period in parallel, and collects their reports. With `auto_recover`, a shard whose worker died is
     /// restarted from its last boundary checkpoint and the epoch is
     /// replayed with the same drained batch — no epoch is skipped.
     ///
@@ -1286,7 +1141,6 @@ impl DispatchService {
     /// Returns [`ServeError::Shard`] when a worker has died (and
     /// `auto_recover` is off or recovery itself failed).
     pub fn run_epoch(&self) -> Result<Vec<EpochReport>, ServeError> {
-        self.release_due_delayed();
         let (applied, invalid) = self.apply_advisories(self.advisories.drain());
         let budget_ms = self.config.epoch_deadline_ms;
         // In-flight rollout → a per-shard directive: shadow candidates are
@@ -1646,10 +1500,6 @@ impl DispatchService {
     /// boundary (between [`run_epoch`] calls); a service restored from it
     /// continues identically.
     ///
-    /// With a [`FaultInjector`] configured, a scheduled snapshot
-    /// corruption damages the returned text (a torn or bit-rotted write);
-    /// [`DispatchService::restore`] must then reject it.
-    ///
     /// [`run_epoch`]: DispatchService::run_epoch
     ///
     /// # Errors
@@ -1805,13 +1655,6 @@ impl DispatchService {
                 Event::Request { .. } => {}
             }
         }
-        for d in lock(&self.delayed).iter() {
-            let _ = writeln!(
-                out,
-                "dlay {} {} {} {}",
-                d.release_epoch, d.shard, d.spec.appear_s, d.spec.segment.0
-            );
-        }
         for i in 0..self.shards.len() {
             self.shard(i)
                 .tx
@@ -1829,11 +1672,7 @@ impl DispatchService {
             }
         }
         out.push_str("end\n");
-        let sealed = seal_snapshot(out);
-        Ok(match &self.config.faults {
-            Some(injector) => injector.corrupt_snapshot(sealed),
-            None => sealed,
-        })
+        Ok(seal_snapshot(out))
     }
 
     /// Rebuilds a service from a snapshot over the *same* scenario. The
@@ -2074,33 +1913,6 @@ impl DispatchService {
                     }
                     _ => return Err(bad("unknown advisory kind")),
                 },
-                "dlay" => {
-                    let release_epoch = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay release epoch"))?;
-                    let shard: usize = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay shard"))?;
-                    if shard >= svc.config.num_shards {
-                        return Err(bad("dlay shard out of range"));
-                    }
-                    let appear_s = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .ok_or_else(|| bad("bad dlay appear_s"))?;
-                    let segment = p
-                        .next()
-                        .and_then(|t| t.parse().ok())
-                        .map(SegmentId)
-                        .ok_or_else(|| bad("bad dlay segment"))?;
-                    lock(&svc.delayed).push(DelayedRequest {
-                        release_epoch,
-                        shard,
-                        spec: RequestSpec { appear_s, segment },
-                    });
-                }
                 "shard" => {
                     let i: usize = p
                         .next()

@@ -7,11 +7,16 @@
 //! `SimClock`: a run is a pure function of its fault plan, and these
 //! tests are deterministic.
 
+use mobirescue_core::rl_dispatch::FEATURE_DIM;
+use mobirescue_rl::nn::Mlp;
+use mobirescue_rl::persist::mlp_to_text;
+use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, ChaosOptions};
 use mobirescue_serve::{
-    Clock, DispatchService, FaultInjector, FaultPlan, ModelRegistry, ServeError, SimClock,
-    SnapshotCorruption,
+    CheckpointPoison, Clock, DispatchService, Event, FaultInjector, FaultPlan, IngestFault,
+    ModelRegistry, ServeConfig, ServeError, SimClock, SnapshotCorruption,
 };
+use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
 
 /// The fixed seed set the suite (and `scripts/verify.sh`) pins. Chosen
@@ -101,28 +106,25 @@ fn crash_recovery_is_replay_masked_bit_identical() {
 
 #[test]
 fn corrupted_snapshot_writes_are_rejected_on_restore() {
+    // The harness damages the text the service wrote — a torn or
+    // bit-rotted write on a failing disk — and restore must refuse it.
     for corruption in [
         SnapshotCorruption::Truncate(12_345),
         SnapshotCorruption::BitFlip(6_789),
     ] {
         let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::empty().with_snapshot_corruption(corruption),
-        ));
-        let mut config = mobirescue_serve::ServeConfig::new(mobirescue_sim::SimConfig::small(6));
-        config.num_shards = 2;
-        config.faults = Some(Arc::clone(&injector));
-        let clock: Arc<SimClock> = Arc::new(SimClock::new());
+        let injector = FaultInjector::new(FaultPlan::empty().with_snapshot_corruption(corruption));
+        let config = two_shard_config();
         let registry = Arc::new(ModelRegistry::new(None, None));
         let service = DispatchService::start(
             Arc::clone(&scenario),
             config.clone(),
-            Arc::clone(&clock) as Arc<dyn Clock>,
+            Arc::new(SimClock::new()) as Arc<dyn Clock>,
             Arc::clone(&registry),
         )
         .expect("service starts");
         service.run_epoch().expect("epoch runs");
-        let corrupted = service.snapshot().expect("snapshot writes");
+        let corrupted = injector.corrupt_snapshot(service.snapshot().expect("snapshot writes"));
         assert_eq!(injector.counters().snapshot_corruptions, 1);
         let err = DispatchService::restore(
             Arc::clone(&scenario),
@@ -139,4 +141,70 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         );
         service.shutdown();
     }
+}
+
+#[test]
+fn boundary_faults_never_reach_the_service() {
+    // Ingest, snapshot and checkpoint faults are the caller's to apply.
+    // A service handed a plan full of them must behave exactly like one
+    // with no plan at all, and must never draw from it.
+    let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
+    let plan = FaultPlan::empty()
+        .with_ingest_fault(0, IngestFault::Drop)
+        .with_ingest_fault(1, IngestFault::Delay(1))
+        .with_ingest_fault(2, IngestFault::Duplicate)
+        .with_ingest_fault(3, IngestFault::Corrupt)
+        .with_snapshot_corruption(SnapshotCorruption::BitFlip(7))
+        .with_poisoned_checkpoint(CheckpointPoison::NanWeights);
+    let injector = Arc::new(FaultInjector::new(plan));
+    let run = |faults: Option<Arc<FaultInjector>>| {
+        let mut config = two_shard_config();
+        config.faults = faults;
+        let service = DispatchService::start(
+            Arc::clone(&scenario),
+            config,
+            Arc::new(SimClock::new()) as Arc<dyn Clock>,
+            Arc::new(ModelRegistry::new(None, None)),
+        )
+        .expect("service starts");
+        let segments = scenario.city.network.num_segments() as u32;
+        for epoch in 0..3u32 {
+            for i in 0..6u32 {
+                let event = Event::Request {
+                    shard: i as usize % 2,
+                    spec: RequestSpec {
+                        appear_s: epoch * 300 + i * 37,
+                        segment: SegmentId((epoch * 53 + i * 17) % segments),
+                    },
+                };
+                let _ = service.ingest(event);
+            }
+            service.run_epoch().expect("epoch runs");
+        }
+        let policy = mlp_to_text(&Mlp::new(&[FEATURE_DIM, 8, 1], 5));
+        service
+            .submit_rollout(None, Some(&policy))
+            .expect("a clean candidate is admitted");
+        let end = (
+            service.metrics(),
+            service.snapshot().expect("snapshot writes"),
+        );
+        service.shutdown();
+        end
+    };
+    let (faulted_metrics, faulted_snapshot) = run(Some(Arc::clone(&injector)));
+    let (clean_metrics, clean_snapshot) = run(None);
+    assert_eq!(clean_metrics.requests_accepted, 18);
+    assert_eq!(faulted_metrics, clean_metrics);
+    assert_eq!(faulted_snapshot, clean_snapshot);
+    let fired = injector.counters();
+    assert_eq!(fired.offers, 0, "the service drew an ingest fault");
+    assert_eq!(fired.snapshot_corruptions, 0);
+    assert_eq!(fired.poisoned_checkpoints, 0);
+}
+
+fn two_shard_config() -> ServeConfig {
+    let mut config = ServeConfig::new(SimConfig::small(6));
+    config.num_shards = 2;
+    config
 }

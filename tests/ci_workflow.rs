@@ -120,8 +120,8 @@ fn all_jobs_run_their_gate_scripts_on_a_runner() {
         "every job checks out the repo"
     );
     assert!(
-        text.contains("run: scripts/verify.sh"),
-        "verify job must run scripts/verify.sh"
+        text.contains("run: scripts/verify.sh --full"),
+        "verify job must run scripts/verify.sh --full (the crate suites run only there)"
     );
     assert!(
         text.contains("scripts/check_bench.sh"),
