@@ -7,7 +7,7 @@
 //!     [--metrics-out FILE]
 //! ```
 //!
-//! Sweeps N seeded fault plans through `mobirescue_serve::chaos::run_chaos`
+//! Sweeps N seeded fault plans through `mobirescue_chaos::run_chaos`
 //! (drop/delay/duplicate/corrupt ingestion, shard stalls and crashes,
 //! failed hot-swaps), then runs the crash-replay masking check, the
 //! poisoned-checkpoint rollout sweep (NaN weights, wrong dims, and a
@@ -19,7 +19,7 @@
 //! pinned `CHAOS_SEEDS`). Exits non-zero if any seed breaks an invariant
 //! — pipe the output into `robustness_serve.txt` via `scripts/chaos.sh`.
 
-use mobirescue_serve::chaos::{
+use mobirescue_chaos::{
     crash_replay_divergence, rollout_chaos_divergence, run_chaos, trainer_chaos_divergence,
     wal_chaos_divergence, ChaosOptions, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
     CHAOS_SEEDS,

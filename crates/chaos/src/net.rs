@@ -27,14 +27,10 @@
 //! so a run's accounting reproduces exactly; only socket timing varies,
 //! and no invariant depends on it.
 
-use crate::client::NetClient;
-use crate::listener::{NetConfig, NetServer};
-use crate::wire::{Frame, MetricsReport, NackReason};
-use mobirescue_serve::chaos::chaos_scenario;
-use mobirescue_serve::{
-    Clock, ConnFault, DispatchService, FaultCounters, FaultInjector, FaultPlanConfig,
-    ModelRegistry, RetryPolicy, ServeConfig, SimClock,
-};
+use crate::fault::{ConnFault, FaultCounters, FaultInjector, FaultPlanConfig};
+use crate::serve::chaos_scenario;
+use mobirescue_net::{Frame, MetricsReport, NackReason, NetClient, NetConfig, NetError, NetServer};
+use mobirescue_serve::{Clock, DispatchService, ModelRegistry, RetryPolicy, ServeConfig, SimClock};
 use mobirescue_sim::SimConfig;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -293,7 +289,7 @@ pub fn run_net_chaos(seed: u64, opts: &NetChaosOptions) -> NetChaosReport {
 
 #[allow(clippy::too_many_arguments)]
 fn track_reply(
-    reply: Result<Frame, crate::error::NetError>,
+    reply: Result<Frame, NetError>,
     id: u64,
     completed: &mut u64,
     acked: &mut u64,

@@ -1,5 +1,5 @@
-//! The chaos harness: runs a full [`DispatchService`] under a seeded
-//! fault schedule and checks the graceful-degradation invariants.
+//! The service chaos harnesses: run a full [`DispatchService`] under a
+//! seeded fault schedule and check the graceful-degradation invariants.
 //!
 //! Shared by the `tests/chaos.rs` suite in the workspace facade and the
 //! `chaos` binary in `mobirescue-bench`, so a failing seed from a sweep
@@ -27,14 +27,16 @@
 //!    service when written cleanly, and is *rejected with a typed error*
 //!    when the harness corrupted the write.
 //! 6. **Swap-failure attribution** — every injected registry failure is
-//!    counted under its typed cause ([`crate::SwapError::Injected`]), and
+//!    counted under its typed cause
+//!    ([`mobirescue_serve::SwapError::Injected`]), and
 //!    no build or rollout failure claims one.
 //!
 //! The service applies only the in-process faults (shard stalls and
 //! crashes, swap failures, trainer and WAL faults). Faults at its
 //! boundary — dropped, delayed, duplicated or corrupted offers, damaged
 //! snapshot writes, poisoned checkpoints — are applied here, by the
-//! caller, through the same [`FaultInjector`] draws.
+//! caller, through the same [`FaultInjector`] draws; the in-process ones
+//! reach the service through the injector's [`FaultHooks`].
 //!
 //! [`rollout_chaos_divergence`] adds the poisoned-checkpoint invariants:
 //! an inadmissible or shadow-stage candidate never serves a primary
@@ -43,44 +45,40 @@
 //! a twin that never saw the poison.
 //!
 //! [`trainer_chaos_divergence`] covers the online training loop
-//! ([`crate::trainer`]): transition conservation under injected drops and
+//! ([`mobirescue_serve::trainer`]): transition conservation under injected drops and
 //! floods, stale-candidate floods never reaching a primary dispatch, and
 //! a trainer that crashes at epoch boundaries recovering bit-identically
 //! to an unfaulted twin.
 //!
 //! [`wal_chaos_divergence`] covers the durable ingest journal
-//! ([`crate::wal`]): torn appends surface as typed refusals with the
+//! ([`mobirescue_serve::wal`]): torn appends surface as typed refusals with the
 //! conservation law `acked == dispatched + still_journaled` intact, fsync
 //! stalls never perturb state, a process killed at *any byte offset* of
 //! the journal recovers bit-identical to a twin that never crashed, and
-//! an interior bit flip is a typed [`crate::WalError::Corrupt`] refusal
+//! an interior bit flip is a typed [`WalError::Corrupt`] refusal
 //! naming the segment and offset.
 
-use crate::clock::{Clock, SimClock};
-use crate::error::ServeError;
-use crate::event::Event;
 use crate::fault::{
-    CheckpointPoison, FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault,
-    ScheduledFaults, TrainerFault, WalFault,
+    FaultCounters, FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, ScheduledFaults,
 };
-use crate::metrics::MetricsSnapshot;
-use crate::registry::ModelRegistry;
-use crate::rollout::{RolloutConfig, RolloutError};
-use crate::scheduler::EpochScheduler;
-use crate::service::{DispatchService, RetryPolicy, ServeConfig};
-use crate::trainer::TrainerConfig;
-use crate::wal::{FsyncPolicy, WalConfig, WalError};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_obs::ObsSnapshot;
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
+use mobirescue_serve::{
+    CheckpointPoison, Clock, DispatchService, EpochScheduler, Event, FaultHooks, FsyncPolicy,
+    MetricsSnapshot, ModelRegistry, RetryPolicy, RolloutConfig, RolloutError, ServeConfig,
+    ServeError, SimClock, TrainerConfig, TrainerFault, TrainerStatus, WalConfig, WalError,
+    WalFault,
+};
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The pinned seed set every chaos sweep and pinned test shares — the
@@ -206,6 +204,56 @@ fn request_events(epoch: u32, num_shards: usize, per_shard: usize, segments: u32
     events
 }
 
+/// Where snapshot text `a` first differs from `b`, as
+/// `diverge at byte N (<a_name> n bytes, <b_name> m bytes)`; `None` when
+/// the texts are identical.
+fn divergence(a: &str, b: &str, a_name: &str, b_name: &str) -> Option<String> {
+    (a != b).then(|| {
+        let at = a
+            .bytes()
+            .zip(b.bytes())
+            .position(|(x, y)| x != y)
+            .unwrap_or_else(|| a.len().min(b.len()));
+        format!(
+            "diverge at byte {at} ({a_name} {} bytes, {b_name} {} bytes)",
+            a.len(),
+            b.len()
+        )
+    })
+}
+
+/// A competent hand-weighted incumbent: it scores candidate zones by live
+/// requests and remaining demand, penalises distance, and pins the
+/// standby feature strongly negative; the seed adds a small perturbation
+/// so sweeps still cover distinct policies. The shadow gate can only
+/// separate a reward tank from an incumbent that reliably out-picks a
+/// policy which recalls every team.
+fn competent_policy(seed: u64) -> Mlp {
+    let mut net = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
+    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
+    net.visit_params_mut(|i, w, _| {
+        *w = base[i] + 0.05 * *w;
+    });
+    net
+}
+
+/// Rollout gates for the poisoned/stale-candidate harnesses: a strict
+/// four-epoch shadow gate, with canary and watch slacks wide open — in
+/// these harnesses those stages only need to *pass* for a good candidate
+/// (the dedicated watch tests cover post-promotion regression).
+fn shadow_gated_rollout() -> RolloutConfig {
+    RolloutConfig {
+        shadow_epochs: 4,
+        shadow_slack: 0.0,
+        canary_epochs: 2,
+        canary_shards: 1,
+        canary_slack: 1e9,
+        watch_epochs: 2,
+        watch_slack: 1e9,
+        probe_bound: 1e6,
+    }
+}
+
 /// Runs the full service under `opts` and checks every invariant.
 ///
 /// # Errors
@@ -221,7 +269,7 @@ pub fn run_chaos(seed: u64, opts: &ChaosOptions) -> Result<ChaosOutcome, ServeEr
     let mut config = ServeConfig::new(SimConfig::small(6));
     config.num_shards = opts.num_shards;
     config.request_queue_capacity = opts.queue_capacity;
-    config.faults = Some(Arc::clone(&injector));
+    config.faults = Some(injector.clone());
     config.epoch_deadline_ms = Some(opts.deadline_ms);
     config.auto_recover = true;
     let clock: Arc<SimClock> = Arc::new(SimClock::new());
@@ -480,7 +528,7 @@ pub fn crash_replay_divergence(
     }
     let injector = Arc::new(FaultInjector::new(plan));
     let run =
-        |faults: Option<Arc<FaultInjector>>| -> Result<(String, MetricsSnapshot, u64), ServeError> {
+        |faults: Option<Arc<dyn FaultHooks>>| -> Result<(String, MetricsSnapshot, u64), ServeError> {
             let mut config = ServeConfig::new(SimConfig::small(6));
             config.num_shards = num_shards;
             config.request_queue_capacity = 8;
@@ -513,7 +561,7 @@ pub fn crash_replay_divergence(
             service.shutdown();
             Ok((snapshot, metrics, restarts))
         };
-    let (faulted_snap, faulted_metrics, restarts) = run(Some(Arc::clone(&injector)))?;
+    let (faulted_snap, faulted_metrics, restarts) = run(Some(injector.clone()))?;
     let (clean_snap, clean_metrics, _) = run(None)?;
     let mut divergences = Vec::new();
     let crashes_fired = injector.counters().crashes;
@@ -530,18 +578,10 @@ pub fn crash_replay_divergence(
         divergences
             .push("metrics diverged between crashed+recovered and unfaulted runs".to_owned());
     }
-    if faulted_snap != clean_snap {
-        let at = faulted_snap
-            .bytes()
-            .zip(clean_snap.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| faulted_snap.len().min(clean_snap.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (faulted {} bytes, clean {} bytes)",
-            faulted_snap.len(),
-            clean_snap.len()
-        ));
-    }
+    divergences.extend(
+        divergence(&faulted_snap, &clean_snap, "faulted", "clean")
+            .map(|d| format!("snapshot texts {d}")),
+    );
     Ok(divergences)
 }
 
@@ -614,34 +654,12 @@ pub fn rollout_chaos_divergence(
 ) -> Result<Vec<String>, ServeError> {
     let scenario = Arc::new(chaos_scenario());
     // The incumbent (and the good candidate, which carries the same
-    // weights) must be a *competent* dispatcher, not a random init: the
-    // shadow gate can only separate a reward tank from the incumbent if
-    // the incumbent reliably out-picks a policy that recalls every team.
-    // Hand-set weights score candidate zones by live requests and
-    // remaining demand, penalise distance, and pin the standby feature
-    // strongly negative; the seed contributes a small perturbation on
-    // top so the sweep still covers distinct policies.
-    let mut good_net = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
-    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
-    good_net.visit_params_mut(|i, w, _| {
-        *w = base[i] + 0.05 * *w;
-    });
+    // weights) must be a *competent* dispatcher, not a random init.
+    let good_net = competent_policy(seed);
     let good_text = mlp_to_text(&good_net);
     let segments = scenario.city.network.num_segments() as u32;
-    // Canary and watch slacks are wide open: in this harness those stages
-    // only need to *pass* for the good candidate (the tank must die in
-    // shadow, and the dedicated watch tests cover post-promotion
-    // regression); the shadow gate is the one under test.
-    let rollout_cfg = RolloutConfig {
-        shadow_epochs: 4,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        probe_bound: 1e6,
-    };
+    // The tank must die in shadow: the shadow gate is the one under test.
+    let rollout_cfg = shadow_gated_rollout();
     struct RunEnd {
         snapshot: String,
         metrics: MetricsSnapshot,
@@ -795,19 +813,10 @@ pub fn rollout_chaos_divergence(
     if faulted.metrics != clean.metrics {
         divergences.push("metrics diverged between poisoned and clean runs".to_owned());
     }
-    if faulted.snapshot != clean.snapshot {
-        let at = faulted
-            .snapshot
-            .bytes()
-            .zip(clean.snapshot.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or_else(|| faulted.snapshot.len().min(clean.snapshot.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (poisoned {} bytes, clean {} bytes)",
-            faulted.snapshot.len(),
-            clean.snapshot.len()
-        ));
-    }
+    divergences.extend(
+        divergence(&faulted.snapshot, &clean.snapshot, "poisoned", "clean")
+            .map(|d| format!("snapshot texts {d}")),
+    );
     Ok(divergences)
 }
 
@@ -868,21 +877,8 @@ pub fn trainer_chaos_divergence(
     // Competent incumbent (same construction as the rollout harness): the
     // shadow gate can only kill a reward-tanking flood candidate when the
     // incumbent reliably out-picks it.
-    let mut incumbent = Mlp::new(&[FEATURE_DIM, 1], seed ^ 0x600d);
-    let base = [-2.0, 1.0, 3.0, 0.0, 0.0, -1_000.0, 0.0];
-    incumbent.visit_params_mut(|i, w, _| {
-        *w = base[i] + 0.05 * *w;
-    });
-    let rollout_cfg = RolloutConfig {
-        shadow_epochs: 4,
-        shadow_slack: 0.0,
-        canary_epochs: 2,
-        canary_shards: 1,
-        canary_slack: 1e9,
-        watch_epochs: 2,
-        watch_slack: 1e9,
-        probe_bound: 1e6,
-    };
+    let incumbent = competent_policy(seed);
+    let rollout_cfg = shadow_gated_rollout();
     let trainer_cfg = |candidate_every: u32| TrainerConfig {
         min_replay: 8,
         batch_size: 4,
@@ -895,7 +891,7 @@ pub fn trainer_chaos_divergence(
     struct RunEnd {
         snapshot: String,
         metrics: MetricsSnapshot,
-        status: crate::trainer::TrainerStatus,
+        status: TrainerStatus,
         policy_text: String,
         swaps: u64,
         final_version: u64,
@@ -916,7 +912,7 @@ pub fn trainer_chaos_divergence(
             config.request_queue_capacity = 8;
             config.rollout = rollout_cfg.clone();
             config.trainer = Some(trainer_cfg(candidate_every));
-            config.faults = Some(Arc::clone(&injector));
+            config.faults = Some(injector.clone());
             let clock: Arc<SimClock> = Arc::new(SimClock::new());
             let registry = Arc::new(ModelRegistry::new(None, Some(incumbent.clone())));
             let service = DispatchService::start(
@@ -1052,19 +1048,10 @@ pub fn trainer_chaos_divergence(
     if faulted.metrics != clean.metrics {
         divergences.push("metrics diverged between crashed and unfaulted trainer runs".to_owned());
     }
-    if faulted.snapshot != clean.snapshot {
-        let at = faulted
-            .snapshot
-            .bytes()
-            .zip(clean.snapshot.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| faulted.snapshot.len().min(clean.snapshot.len()));
-        divergences.push(format!(
-            "snapshot texts diverge at byte {at} (crashed {} bytes, clean {} bytes)",
-            faulted.snapshot.len(),
-            clean.snapshot.len()
-        ));
-    }
+    divergences.extend(
+        divergence(&faulted.snapshot, &clean.snapshot, "crashed", "clean")
+            .map(|d| format!("snapshot texts {d}")),
+    );
     Ok(divergences)
 }
 
@@ -1096,9 +1083,14 @@ impl WalChaosOptions {
     }
 }
 
+/// A journal directory private to one harness run: test threads in one
+/// process may run the same seed concurrently, so the process id and the
+/// seed alone do not make it unique.
 fn wal_chaos_dir(seed: u64, arm: &str) -> PathBuf {
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir().join(format!(
-        "mobirescue-walchaos-{}-{seed}-{arm}",
+        "mobirescue-walchaos-{}-{run}-{seed}-{arm}",
         std::process::id()
     ))
 }
@@ -1110,7 +1102,7 @@ fn fresh_dir(dir: &Path) {
 fn wal_serve_config(
     opts: &WalChaosOptions,
     dir: &Path,
-    faults: Option<Arc<FaultInjector>>,
+    faults: Option<Arc<dyn FaultHooks>>,
 ) -> ServeConfig {
     let mut config = ServeConfig::new(SimConfig::small(6));
     config.num_shards = opts.num_shards;
@@ -1141,6 +1133,29 @@ fn only_segment(dir: &Path) -> Result<PathBuf, String> {
         1 => Ok(segs.remove(0)),
         n => Err(format!("expected one journal segment, found {n}")),
     }
+}
+
+/// Flips one bit of the first record of the one journal segment under
+/// `dir` and reads it back to confirm the damage landed.
+fn flip_first_record_bit(dir: &Path) -> Result<(), String> {
+    let segment = only_segment(dir)?;
+    let read = |p: &Path| fs::read(p).map_err(|e| format!("read {}: {e}", p.display()));
+    let mut bytes = read(&segment)?;
+    let header_len = bytes
+        .iter()
+        .position(|&b| b == b'\n')
+        .ok_or("journal segment has no header line")?
+        + 1;
+    let at = header_len + 4;
+    let Some(&original) = bytes.get(at) else {
+        return Err(format!("journal segment too short to flip byte {at}"));
+    };
+    bytes[at] ^= 0x10;
+    fs::write(&segment, &bytes).map_err(|e| format!("write {}: {e}", segment.display()))?;
+    if read(&segment)?.get(at) != Some(&(original ^ 0x10)) {
+        return Err(format!("bit flip at byte {at} did not land"));
+    }
+    Ok(())
 }
 
 /// The durable-ingest-journal invariants, checked as four arms:
@@ -1198,7 +1213,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
             .with_wal_fault(1, WalFault::TornAppend)
             .with_wal_fault(4, WalFault::FsyncStall(7));
         let injector = Arc::new(FaultInjector::new(plan));
-        let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
+        let config = wal_serve_config(opts, &dir, Some(injector.clone()));
         let clock: Arc<SimClock> = Arc::new(SimClock::new());
         let registry = Arc::new(ModelRegistry::new(None, None));
         let service = DispatchService::start(
@@ -1330,18 +1345,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         if stalled_metrics != clean_metrics {
             violations.push("metrics diverged between stalled and clean journal runs".to_owned());
         }
-        if stalled_snap != clean_snap {
-            let at = stalled_snap
-                .bytes()
-                .zip(clean_snap.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| stalled_snap.len().min(clean_snap.len()));
-            violations.push(format!(
-                "stall twin snapshots diverge at byte {at} (stalled {} bytes, clean {} bytes)",
-                stalled_snap.len(),
-                clean_snap.len()
-            ));
-        }
+        violations.extend(
+            divergence(&stalled_snap, &clean_snap, "stalled", "clean")
+                .map(|d| format!("stall twin snapshots {d}")),
+        );
     }
 
     // ---- Arm B: kill -9 at any byte of the journal.
@@ -1462,19 +1469,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
                         restored.wal_last_seq()
                     ));
                 }
-                if crashed_snapshot != reference_snapshot {
-                    let at = crashed_snapshot
-                        .bytes()
-                        .zip(reference_snapshot.bytes())
-                        .position(|(a, b)| a != b)
-                        .unwrap_or_else(|| crashed_snapshot.len().min(reference_snapshot.len()));
-                    violations.push(format!(
-                        "crash at byte {cut}: snapshots diverge at byte {at} (crashed {} bytes, \
-                         twin {} bytes)",
-                        crashed_snapshot.len(),
-                        reference_snapshot.len()
-                    ));
-                }
+                violations.extend(
+                    divergence(&crashed_snapshot, &reference_snapshot, "crashed", "twin")
+                        .map(|d| format!("crash at byte {cut}: snapshots {d}")),
+                );
                 restored.shutdown();
                 fresh_dir(&crash_dir);
             }
@@ -1486,9 +1484,7 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
     {
         let dir = wal_chaos_dir(seed, "c");
         fresh_dir(&dir);
-        let plan = FaultPlan::empty().with_wal_fault(2, WalFault::SegmentBitFlip);
-        let injector = Arc::new(FaultInjector::new(plan));
-        let config = wal_serve_config(opts, &dir, Some(Arc::clone(&injector)));
+        let config = wal_serve_config(opts, &dir, None);
         let service = DispatchService::start(
             Arc::clone(&scenario),
             config,
@@ -1498,8 +1494,10 @@ pub fn wal_chaos_divergence(seed: u64, opts: &WalChaosOptions) -> Result<Vec<Str
         for event in request_events(0, opts.num_shards, opts.requests_per_epoch, segments) {
             let _ = service.ingest(event);
         }
-        if injector.counters().wal_bitflips == 0 {
-            violations.push("arm C fired no bit flips".to_owned());
+        // Silent storage rot: one bit of the first journaled record flips
+        // on disk, mid-line — interior damage, unambiguously not a tear.
+        if let Err(why) = flip_first_record_bit(&dir) {
+            violations.push(format!("arm C: {why}"));
         }
         let snapshot = service.snapshot()?;
         match DispatchService::restore(

@@ -18,26 +18,21 @@
 //!   `mobirescue-obs` (`net.*` counters, ingest-to-dispatch latency
 //!   histogram, ring events).
 //! * **Client** ([`client`]) — the blocking counterpart used by the
-//!   load generator and the chaos harness, with raw-byte access for
-//!   deliberately broken traffic.
-//! * **Chaos harness** ([`chaos`]) — a seeded misbehaving client
-//!   (mid-frame disconnects, torn writes, slow-loris stalls, scheduled
-//!   by `serve::fault`) plus the conservation invariants proving no
-//!   request is silently dropped, duplicated, or lost.
+//!   load generator and the network chaos harness (in the dev-only
+//!   `mobirescue-chaos` crate), with raw-byte access for deliberately
+//!   broken traffic.
 //!
 //! [`DispatchService::ingest_with_retry`]:
 //! mobirescue_serve::DispatchService::ingest_with_retry
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod client;
 pub mod error;
 pub mod listener;
 pub mod metrics;
 pub mod wire;
 
-pub use chaos::{run_net_chaos, NetChaosOptions, NetChaosReport};
 pub use client::NetClient;
 pub use error::NetError;
 pub use listener::{NetConfig, NetServer};

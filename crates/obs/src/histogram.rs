@@ -189,8 +189,10 @@ impl HistogramSnapshot {
             }
             counts[idx] = c.parse().ok()?;
         }
-        let snap = Self { counts, sum, max };
-        (snap.count() == count).then_some(snap)
+        // Checked: bucket counts summing past u64 are garbage, not a
+        // histogram of 2^64 samples.
+        let total = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c))?;
+        (total == count).then_some(Self { counts, sum, max })
     }
 }
 
@@ -291,6 +293,12 @@ mod tests {
         // Count/bucket disagreement is rejected.
         assert!(HistogramSnapshot::from_line("5 2 3 1:1").is_none());
         assert!(HistogramSnapshot::from_line("1 0 1 1:1").is_some());
+        // Bucket counts that overflow u64 are rejected, not wrapped.
+        assert!(HistogramSnapshot::from_line("0 0 0 1:18446744073709551615 2:1").is_none());
+        assert!(
+            crate::ObsSnapshot::parse("mrobs 1\nh x 0 0 0 1:18446744073709551615 2:1\nend\n")
+                .is_err()
+        );
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //! * [`replay`] — bounded experience replay;
 //! * [`dqn`] — Double-DQN agent with target network and action masking;
 //! * [`qscore`] — Q-learning over action features (the dispatcher's
-//!   policy head: shared weights across destination zones);
-//! * [`reinforce`] — Monte-Carlo policy gradient, for ablations.
+//!   policy head: shared weights across destination zones).
 
 #![warn(missing_docs)]
 
@@ -21,7 +20,6 @@ pub mod dqn;
 pub mod nn;
 pub mod persist;
 pub mod qscore;
-pub mod reinforce;
 pub mod replay;
 
 pub use adam::{Adam, Sgd};
@@ -29,5 +27,4 @@ pub use dqn::{DqnAgent, DqnConfig};
 pub use nn::{ForwardCache, Mlp};
 pub use persist::{mlp_from_text, mlp_to_text, ParseNetworkError};
 pub use qscore::{PairTransition, QScore, QScoreConfig};
-pub use reinforce::{Reinforce, ReinforceConfig};
 pub use replay::{pair_from_line, pair_to_line, PairReplay, ReplayBuffer, Transition};

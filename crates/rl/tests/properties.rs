@@ -2,7 +2,6 @@
 
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::qscore::{QScore, QScoreConfig};
-use mobirescue_rl::reinforce::{Reinforce, ReinforceConfig};
 use mobirescue_rl::replay::{ReplayBuffer, Transition};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -63,24 +62,6 @@ proptest! {
         // Every sampled reward is one of the last `capacity` pushes.
         let floor = pushes.saturating_sub(capacity) as f64;
         prop_assert!(sample.iter().all(|t| t.reward >= floor));
-    }
-
-    /// Softmax policies always output proper distributions.
-    #[test]
-    fn reinforce_distribution(
-        state in prop::collection::vec(-5.0f64..5.0, 4),
-        actions in 2usize..8,
-        seed in 0u64..100,
-    ) {
-        let mut cfg = ReinforceConfig::new(4, actions);
-        cfg.seed = seed;
-        let agent = Reinforce::new(cfg);
-        let p = agent.probabilities(&state);
-        prop_assert_eq!(p.len(), actions);
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        prop_assert!(p.iter().all(|&x| x > 0.0));
-        let greedy = agent.act_greedy(&state);
-        prop_assert!(p.iter().all(|&x| x <= p[greedy]));
     }
 
     /// QScore's greedy choice is consistent with its own Q values.

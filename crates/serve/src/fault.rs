@@ -1,51 +1,21 @@
-//! Deterministic fault injection for the dispatch service.
+//! The service's fault hooks: the one seam through which a chaos harness
+//! reaches inside a running [`crate::DispatchService`].
 //!
 //! A disaster-time dispatcher must keep producing plans while its own
-//! infrastructure degrades: ingestion links drop and reorder events,
-//! worker processes die mid-epoch, model pushes fail, checkpoints get
-//! truncated on a failing disk. This module makes those conditions a
-//! *first-class, reproducible test input*: a [`FaultPlan`] is a seeded,
-//! inspectable schedule of faults, and a [`FaultInjector`] hands each
-//! fault out exactly once. In-process faults (shard, swap, trainer, WAL)
-//! fire at hooks inside [`crate::DispatchService`] and its shard workers;
-//! boundary faults (ingest offers, snapshot writes, checkpoint
-//! deliveries) are drawn and applied by the caller — the chaos harnesses
-//! — so the service's ingest, snapshot and rollout-submission paths never
-//! consult the plan.
+//! infrastructure degrades: worker processes die mid-epoch, model pushes
+//! fail, the trainer wedges, the journal's disk tears a write or stalls
+//! under fsync. None of those can be caused from outside the service, so
+//! the service asks a [`FaultHooks`] implementation at exactly four
+//! points whether one should happen now. Every method defaults to "no
+//! fault", and `ServeConfig::faults` is `None` in production, so the
+//! hooks cost one branch on a `None`.
 //!
-//! Determinism is the whole point. The plan is fully decided up front from
-//! a seed (via the vendored `rand` shim), every fault is consumed
-//! one-shot, and the service runs on a [`crate::SimClock`] in tests — so a
-//! chaos run is a pure function of `(scenario seed, fault seed)` and every
-//! failure reproduces exactly. Consuming faults one-shot is also what
-//! makes crash recovery testable: when a crashed shard's epoch is replayed
-//! after restore, the crash (already consumed) does not re-fire, so the
-//! replay is the *masked* — unfaulted — execution of the same epoch.
-
-use mobirescue_core::rl_dispatch::FEATURE_DIM;
-use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::mlp_to_text;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// A fault a chaos harness applies to one rescue request on its way to
-/// [`crate::DispatchService::ingest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IngestFault {
-    /// The event is lost: never delivered.
-    Drop,
-    /// The event is held back this many epochs before it is delivered
-    /// (network delay / out-of-order delivery).
-    Delay(u32),
-    /// The event is delivered twice (at-least-once delivery upstream).
-    Duplicate,
-    /// The event's payload is damaged in flight; the service's validation
-    /// must reject it with a typed error.
-    Corrupt,
-}
+//! Which faults exist in a run and when they fire — seeded plans,
+//! one-shot consumption, fired-fault counters — is the business of the
+//! dev-only `mobirescue-chaos` crate, which implements this trait. Faults
+//! at the service's boundary (lost or damaged offers, corrupted snapshot
+//! writes, poisoned checkpoints) never pass through here: the harnesses
+//! apply them to what they hand the service.
 
 /// A fault applied to one shard worker at one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,26 +27,6 @@ pub enum ShardFault {
     /// The worker thread dies mid-epoch without replying; the service must
     /// restart it from the last boundary checkpoint and replay.
     Crash,
-}
-
-/// A fault applied by a misbehaving client to one frame offered over the
-/// TCP front door (`mobirescue-net`). The serve crate owns the schedule —
-/// like every other fault kind — and the network chaos harness applies it
-/// at the socket, so a front-door chaos run stays a pure function of its
-/// fault seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConnFault {
-    /// The client writes part of a frame and disconnects. The listener
-    /// must treat the torso as a rejected frame, never as a request.
-    MidFrameDisconnect,
-    /// The frame arrives split across two writes with a pause in between
-    /// (a torn write). The listener must reassemble it and respond
-    /// normally — torn delivery is not data loss.
-    TornWrite,
-    /// The client trickles a partial frame header and then stalls
-    /// (slow-loris). The listener's frame deadline must close the
-    /// connection instead of pinning a handler thread forever.
-    SlowLoris,
 }
 
 /// A fault applied to the online trainer (`crate::trainer`) at one epoch
@@ -107,1207 +57,41 @@ pub enum WalFault {
     /// the typed `WalError::TornTail` — the request is not admitted and
     /// must never be acked.
     TornAppend,
-    /// Silent storage rot: one bit of an already-journaled record flips
-    /// on disk. The live run is unaffected; the *next* recovery must
-    /// refuse with a typed error naming the segment and offset.
-    SegmentBitFlip,
     /// The device stalls under fsync (a failing disk's write cache
     /// draining) for this many clock milliseconds. The append blocks for
     /// the stall and then completes normally.
     FsyncStall(u64),
 }
 
-/// How a checkpoint delivery is poisoned before it reaches the rollout
-/// pipeline's admission gate (a corrupted training job, a bad export, or
-/// an adversarially regressed policy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointPoison {
-    /// The policy parses but carries a NaN weight — admission must reject.
-    NanWeights,
-    /// The policy's input layer disagrees with `FEATURE_DIM` — admission
-    /// must reject.
-    WrongDims,
-    /// A structurally valid policy that pins every team on stand-by,
-    /// tanking the paper reward — only the shadow gate can catch it.
-    RewardTank,
-}
-
-/// How a snapshot text is damaged on write (failing disk / torn write).
-/// The embedded position is reduced modulo the snapshot length when
-/// applied, so plans stay valid for any snapshot size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotCorruption {
-    /// The text is cut short at a plan-chosen byte offset.
-    Truncate(u64),
-    /// One byte at a plan-chosen offset has a bit flipped.
-    BitFlip(u64),
-}
-
-/// Probabilities and horizons from which a seeded [`FaultPlan`] is drawn.
-#[derive(Debug, Clone)]
-pub struct FaultPlanConfig {
-    /// Epochs the schedule covers (shard faults are drawn per epoch).
-    pub epochs: u32,
-    /// Shards the schedule covers.
-    pub num_shards: usize,
-    /// Request offers covered by ingestion-fault decisions; offers beyond
-    /// the horizon pass through clean.
-    pub ingest_horizon: usize,
-    /// Per-offer probability of [`IngestFault::Drop`].
-    pub p_drop: f64,
-    /// Per-offer probability of [`IngestFault::Delay`].
-    pub p_delay: f64,
-    /// Per-offer probability of [`IngestFault::Duplicate`].
-    pub p_duplicate: f64,
-    /// Per-offer probability of [`IngestFault::Corrupt`].
-    pub p_corrupt: f64,
-    /// Largest delay, epochs (delays are drawn uniformly in `1..=max`).
-    pub max_delay_epochs: u32,
-    /// Per-(epoch, shard) probability of [`ShardFault::Stall`].
-    pub p_stall: f64,
-    /// Per-(epoch, shard) probability of [`ShardFault::Crash`].
-    pub p_crash: f64,
-    /// Per-(epoch, shard) probability of an injected registry-swap
-    /// failure.
-    pub p_swap_fail: f64,
-    /// Stall magnitude, clock milliseconds (choose it above the service's
-    /// epoch deadline to guarantee the fallback trips).
-    pub stall_ms: u64,
-    /// How many snapshot writes get corrupted (the harness damages the
-    /// text [`crate::DispatchService::snapshot`] returned).
-    pub snapshot_corruptions: u32,
-    /// How many rollout deliveries get their policy checkpoint replaced
-    /// with a poisoned one (kinds cycle NaN → wrong-dims → reward-tank).
-    pub poisoned_checkpoints: u32,
-    /// Frame offers over the TCP front door covered by connection-fault
-    /// decisions; offers beyond the horizon are sent clean.
-    pub conn_horizon: usize,
-    /// Per-frame probability of [`ConnFault::MidFrameDisconnect`].
-    pub p_conn_disconnect: f64,
-    /// Per-frame probability of [`ConnFault::TornWrite`].
-    pub p_conn_torn: f64,
-    /// Per-frame probability of [`ConnFault::SlowLoris`].
-    pub p_conn_slowloris: f64,
-    /// Epochs covered by trainer-fault decisions (one draw per epoch;
-    /// epochs beyond the horizon pass through clean).
-    pub trainer_horizon: u32,
-    /// Per-epoch probability of [`TrainerFault::Crash`].
-    pub p_trainer_crash: f64,
-    /// Per-epoch probability of [`TrainerFault::StaleCandidateFlood`].
-    pub p_trainer_flood: f64,
-    /// Per-epoch probability of [`TrainerFault::TransitionDrop`].
-    pub p_trainer_drop: f64,
-    /// Candidates per [`TrainerFault::StaleCandidateFlood`] burst.
-    pub trainer_flood_len: u32,
-    /// Journaled push attempts covered by WAL-fault decisions; attempts
-    /// beyond the horizon append clean.
-    pub wal_horizon: usize,
-    /// Per-attempt probability of [`WalFault::TornAppend`].
-    pub p_wal_torn: f64,
-    /// Per-attempt probability of [`WalFault::SegmentBitFlip`].
-    pub p_wal_bitflip: f64,
-    /// Per-attempt probability of [`WalFault::FsyncStall`].
-    pub p_wal_stall: f64,
-    /// Fsync-stall magnitude, clock milliseconds.
-    pub wal_stall_ms: u64,
-}
-
-impl FaultPlanConfig {
-    /// The standard chaos mix: every fault kind armed with moderate
-    /// probability.
-    pub fn chaos(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            epochs,
-            num_shards,
-            ingest_horizon: 256,
-            p_drop: 0.08,
-            p_delay: 0.08,
-            p_duplicate: 0.06,
-            p_corrupt: 0.05,
-            max_delay_epochs: 2,
-            p_stall: 0.10,
-            p_crash: 0.08,
-            p_swap_fail: 0.06,
-            stall_ms: 50,
-            snapshot_corruptions: 0,
-            poisoned_checkpoints: 0,
-            conn_horizon: 0,
-            p_conn_disconnect: 0.0,
-            p_conn_torn: 0.0,
-            p_conn_slowloris: 0.0,
-            trainer_horizon: 0,
-            p_trainer_crash: 0.0,
-            p_trainer_flood: 0.0,
-            p_trainer_drop: 0.0,
-            trainer_flood_len: 3,
-            wal_horizon: 0,
-            p_wal_torn: 0.0,
-            p_wal_bitflip: 0.0,
-            p_wal_stall: 0.0,
-            wal_stall_ms: 0,
-        }
+/// Where the service asks whether an in-process fault fires now. Each
+/// method is called once per hook point and defaults to "no fault"; an
+/// implementation that hands a fault out should hand it out once, so the
+/// replay of a crashed epoch runs unfaulted.
+pub trait FaultHooks: Send + Sync {
+    /// The fault (if any) for `shard`'s worker as it starts `epoch`.
+    fn shard_fault(&self, _epoch: u32, _shard: usize) -> Option<ShardFault> {
+        None
     }
 
-    /// The front-door chaos mix: connection faults armed on top of the
-    /// standard [`FaultPlanConfig::chaos`] schedule. The network chaos
-    /// harness uses this; in-process chaos keeps `conn_horizon == 0`.
-    pub fn net_chaos(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            conn_horizon: 192,
-            p_conn_disconnect: 0.08,
-            p_conn_torn: 0.10,
-            p_conn_slowloris: 0.05,
-            ..Self::chaos(epochs, num_shards)
-        }
+    /// Whether `shard`'s registry hot-swap check at `epoch` fails (the
+    /// registry is unreachable; the epoch is served degraded).
+    fn swap_failure(&self, _epoch: u32, _shard: usize) -> bool {
+        false
     }
 
-    /// The trainer chaos mix: *only* trainer faults armed. Shard faults
-    /// stay off on purpose — a shard crash rebuilds its dispatcher (losing
-    /// the in-flight transition tap), so trainer-loop invariants are
-    /// verified against an otherwise-healthy fleet, and shard recovery has
-    /// its own suite.
-    pub fn trainer_chaos(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            trainer_horizon: epochs,
-            p_trainer_crash: 0.15,
-            p_trainer_flood: 0.10,
-            p_trainer_drop: 0.15,
-            trainer_flood_len: 3,
-            ..Self::quiet(epochs, num_shards)
-        }
+    /// The fault (if any) for the online trainer at the `epoch` boundary.
+    fn trainer_fault(&self, _epoch: u32) -> Option<TrainerFault> {
+        None
     }
 
-    /// The journal chaos mix: *only* WAL faults armed (torn appends and
-    /// fsync stalls; bit flips are forced explicitly by harnesses that
-    /// want them, since a flipped segment poisons every later recovery).
-    /// Everything else stays off so journal invariants are verified
-    /// against an otherwise-healthy fleet, mirroring
-    /// [`FaultPlanConfig::trainer_chaos`].
-    pub fn wal_chaos(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            wal_horizon: 64,
-            p_wal_torn: 0.10,
-            p_wal_bitflip: 0.0,
-            p_wal_stall: 0.12,
-            wal_stall_ms: 15,
-            ..Self::quiet(epochs, num_shards)
-        }
-    }
-
-    /// No faults at all — the control arm of a chaos comparison.
-    pub fn quiet(epochs: u32, num_shards: usize) -> Self {
-        Self {
-            epochs,
-            num_shards,
-            ingest_horizon: 0,
-            p_drop: 0.0,
-            p_delay: 0.0,
-            p_duplicate: 0.0,
-            p_corrupt: 0.0,
-            max_delay_epochs: 1,
-            p_stall: 0.0,
-            p_crash: 0.0,
-            p_swap_fail: 0.0,
-            stall_ms: 0,
-            snapshot_corruptions: 0,
-            poisoned_checkpoints: 0,
-            conn_horizon: 0,
-            p_conn_disconnect: 0.0,
-            p_conn_torn: 0.0,
-            p_conn_slowloris: 0.0,
-            trainer_horizon: 0,
-            p_trainer_crash: 0.0,
-            p_trainer_flood: 0.0,
-            p_trainer_drop: 0.0,
-            trainer_flood_len: 0,
-            wal_horizon: 0,
-            p_wal_torn: 0.0,
-            p_wal_bitflip: 0.0,
-            p_wal_stall: 0.0,
-            wal_stall_ms: 0,
-        }
+    /// The fault (if any) for the next journaled push attempt.
+    fn wal_fault(&self) -> Option<WalFault> {
+        None
     }
 }
 
-/// What a plan has scheduled, by kind — inspectable before the run so
-/// tests can assert "faults fired" against "faults were planned".
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScheduledFaults {
-    /// Ingestion offers with a fault decision.
-    pub ingest: usize,
-    /// Scheduled stalls.
-    pub stalls: usize,
-    /// Scheduled crashes.
-    pub crashes: usize,
-    /// Scheduled registry-swap failures.
-    pub swap_fails: usize,
-    /// Scheduled snapshot corruptions.
-    pub snapshot_corruptions: usize,
-    /// Scheduled checkpoint poisonings.
-    pub poisoned_checkpoints: usize,
-    /// Front-door frame offers with a connection-fault decision.
-    pub conn: usize,
-    /// Scheduled trainer faults.
-    pub trainer: usize,
-    /// Journaled push attempts with a WAL-fault decision.
-    pub wal: usize,
-}
-
-impl ScheduledFaults {
-    /// Whether anything is scheduled at all.
-    pub fn any(&self) -> bool {
-        self.ingest
-            + self.stalls
-            + self.crashes
-            + self.swap_fails
-            + self.snapshot_corruptions
-            + self.poisoned_checkpoints
-            + self.conn
-            + self.trainer
-            + self.wal
-            > 0
-    }
-}
-
-/// A deterministic, inspectable schedule of faults.
-#[derive(Debug, Clone, Default)]
-pub struct FaultPlan {
-    ingest: Vec<Option<IngestFault>>,
-    shard: BTreeMap<(u32, usize), ShardFault>,
-    swap_fail: BTreeSet<(u32, usize)>,
-    snapshot: Vec<SnapshotCorruption>,
-    poison: Vec<CheckpointPoison>,
-    conn: Vec<Option<ConnFault>>,
-    trainer: BTreeMap<u32, TrainerFault>,
-    wal: Vec<Option<WalFault>>,
-}
-
-impl FaultPlan {
-    /// A plan with nothing scheduled (compose with the builder methods).
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// Draws a full schedule from `seed` under `cfg`. The same
-    /// `(seed, cfg)` always yields the same plan.
-    pub fn generate(seed: u64, cfg: &FaultPlanConfig) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x6d72_6663_6861_6f73); // "mrfchaos"
-        let ingest = (0..cfg.ingest_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_drop;
-                if roll < acc {
-                    return Some(IngestFault::Drop);
-                }
-                acc += cfg.p_delay;
-                if roll < acc {
-                    let d = rng.random_range(1..=cfg.max_delay_epochs.max(1));
-                    return Some(IngestFault::Delay(d));
-                }
-                acc += cfg.p_duplicate;
-                if roll < acc {
-                    return Some(IngestFault::Duplicate);
-                }
-                acc += cfg.p_corrupt;
-                if roll < acc {
-                    return Some(IngestFault::Corrupt);
-                }
-                None
-            })
-            .collect();
-        let mut shard = BTreeMap::new();
-        let mut swap_fail = BTreeSet::new();
-        for epoch in 0..cfg.epochs {
-            for s in 0..cfg.num_shards {
-                let roll: f64 = rng.random();
-                if roll < cfg.p_crash {
-                    shard.insert((epoch, s), ShardFault::Crash);
-                } else if roll < cfg.p_crash + cfg.p_stall {
-                    shard.insert((epoch, s), ShardFault::Stall(cfg.stall_ms));
-                }
-                if rng.random_bool(cfg.p_swap_fail) {
-                    swap_fail.insert((epoch, s));
-                }
-            }
-        }
-        let snapshot = (0..cfg.snapshot_corruptions)
-            .map(|_| {
-                if rng.random::<bool>() {
-                    SnapshotCorruption::Truncate(rng.random::<u64>())
-                } else {
-                    SnapshotCorruption::BitFlip(rng.random::<u64>())
-                }
-            })
-            .collect();
-        // Drawn after every other kind so enabling poisons never perturbs
-        // a seed's existing schedule.
-        let poison = (0..cfg.poisoned_checkpoints)
-            .map(|i| match i % 3 {
-                0 => CheckpointPoison::NanWeights,
-                1 => CheckpointPoison::WrongDims,
-                _ => CheckpointPoison::RewardTank,
-            })
-            .collect();
-        // Connection faults draw last for the same reason: arming the
-        // front door must leave a seed's in-process schedule untouched.
-        let conn = (0..cfg.conn_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_conn_disconnect;
-                if roll < acc {
-                    return Some(ConnFault::MidFrameDisconnect);
-                }
-                acc += cfg.p_conn_torn;
-                if roll < acc {
-                    return Some(ConnFault::TornWrite);
-                }
-                acc += cfg.p_conn_slowloris;
-                if roll < acc {
-                    return Some(ConnFault::SlowLoris);
-                }
-                None
-            })
-            .collect();
-        // Trainer faults draw after conn for the same reason again: arming
-        // the trainer must leave every earlier schedule for a seed intact.
-        let mut trainer = BTreeMap::new();
-        for epoch in 0..cfg.trainer_horizon {
-            let roll: f64 = rng.random();
-            let mut acc = cfg.p_trainer_crash;
-            if roll < acc {
-                trainer.insert(epoch, TrainerFault::Crash);
-                continue;
-            }
-            acc += cfg.p_trainer_flood;
-            if roll < acc {
-                trainer.insert(
-                    epoch,
-                    TrainerFault::StaleCandidateFlood(cfg.trainer_flood_len.max(1)),
-                );
-                continue;
-            }
-            acc += cfg.p_trainer_drop;
-            if roll < acc {
-                trainer.insert(epoch, TrainerFault::TransitionDrop);
-            }
-        }
-        // WAL faults draw after trainer, with their own offer index, so
-        // arming the journal leaves every existing seeded plan intact.
-        let wal = (0..cfg.wal_horizon)
-            .map(|_| {
-                let roll: f64 = rng.random();
-                let mut acc = cfg.p_wal_torn;
-                if roll < acc {
-                    return Some(WalFault::TornAppend);
-                }
-                acc += cfg.p_wal_bitflip;
-                if roll < acc {
-                    return Some(WalFault::SegmentBitFlip);
-                }
-                acc += cfg.p_wal_stall;
-                if roll < acc {
-                    return Some(WalFault::FsyncStall(cfg.wal_stall_ms));
-                }
-                None
-            })
-            .collect();
-        Self {
-            ingest,
-            shard,
-            swap_fail,
-            snapshot,
-            poison,
-            conn,
-            trainer,
-            wal,
-        }
-    }
-
-    /// Schedules `fault` for the `offer_index`-th request offer.
-    pub fn with_ingest_fault(mut self, offer_index: usize, fault: IngestFault) -> Self {
-        if self.ingest.len() <= offer_index {
-            self.ingest.resize(offer_index + 1, None);
-        }
-        self.ingest[offer_index] = Some(fault);
-        self
-    }
-
-    /// Schedules a crash of `shard` at `epoch`.
-    pub fn with_crash(mut self, epoch: u32, shard: usize) -> Self {
-        self.shard.insert((epoch, shard), ShardFault::Crash);
-        self
-    }
-
-    /// Schedules an `ms`-millisecond stall of `shard` at `epoch`.
-    pub fn with_stall(mut self, epoch: u32, shard: usize, ms: u64) -> Self {
-        self.shard.insert((epoch, shard), ShardFault::Stall(ms));
-        self
-    }
-
-    /// Schedules a registry-swap failure for `shard` at `epoch`.
-    pub fn with_swap_failure(mut self, epoch: u32, shard: usize) -> Self {
-        self.swap_fail.insert((epoch, shard));
-        self
-    }
-
-    /// Schedules a corruption of the next not-yet-corrupted snapshot
-    /// write.
-    pub fn with_snapshot_corruption(mut self, corruption: SnapshotCorruption) -> Self {
-        self.snapshot.push(corruption);
-        self
-    }
-
-    /// Schedules the next rollout submission's policy checkpoint to be
-    /// replaced with a poisoned one of the given kind.
-    pub fn with_poisoned_checkpoint(mut self, kind: CheckpointPoison) -> Self {
-        self.poison.push(kind);
-        self
-    }
-
-    /// Schedules `fault` for the `offer_index`-th frame sent over the
-    /// front door.
-    pub fn with_conn_fault(mut self, offer_index: usize, fault: ConnFault) -> Self {
-        if self.conn.len() <= offer_index {
-            self.conn.resize(offer_index + 1, None);
-        }
-        self.conn[offer_index] = Some(fault);
-        self
-    }
-
-    /// Schedules `fault` for the trainer at `epoch`.
-    pub fn with_trainer_fault(mut self, epoch: u32, fault: TrainerFault) -> Self {
-        self.trainer.insert(epoch, fault);
-        self
-    }
-
-    /// Schedules `fault` for the `offer_index`-th journaled push attempt.
-    pub fn with_wal_fault(mut self, offer_index: usize, fault: WalFault) -> Self {
-        if self.wal.len() <= offer_index {
-            self.wal.resize(offer_index + 1, None);
-        }
-        self.wal[offer_index] = Some(fault);
-        self
-    }
-
-    /// What the plan has scheduled, by kind.
-    pub fn scheduled(&self) -> ScheduledFaults {
-        ScheduledFaults {
-            ingest: self.ingest.iter().filter(|f| f.is_some()).count(),
-            stalls: self
-                .shard
-                .values()
-                .filter(|f| matches!(f, ShardFault::Stall(_)))
-                .count(),
-            crashes: self
-                .shard
-                .values()
-                .filter(|f| matches!(f, ShardFault::Crash))
-                .count(),
-            swap_fails: self.swap_fail.len(),
-            snapshot_corruptions: self.snapshot.len(),
-            poisoned_checkpoints: self.poison.len(),
-            conn: self.conn.iter().filter(|f| f.is_some()).count(),
-            trainer: self.trainer.len(),
-            wal: self.wal.iter().filter(|f| f.is_some()).count(),
-        }
-    }
-}
-
-/// Cumulative counts of faults that actually *fired* during a run.
-///
-/// `delays_released` is incremented by the chaos harness when it finally
-/// delivers a held-back event; `delays - delays_released` is therefore
-/// the number of delayed events still in flight.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounters {
-    /// Request offers the harness drew an ingest decision for (one per
-    /// offer; retries re-send without drawing).
-    pub offers: u64,
-    /// Offers dropped.
-    pub drops: u64,
-    /// Offers deferred.
-    pub delays: u64,
-    /// Deferred events released into their queue so far.
-    pub delays_released: u64,
-    /// Offers duplicated.
-    pub duplicates: u64,
-    /// Offers corrupted.
-    pub corrupts: u64,
-    /// Shard stalls fired.
-    pub stalls: u64,
-    /// Shard crashes fired.
-    pub crashes: u64,
-    /// Registry-swap failures fired.
-    pub swap_fails: u64,
-    /// Snapshot writes corrupted.
-    pub snapshot_corruptions: u64,
-    /// Rollout deliveries whose checkpoint was poisoned.
-    pub poisoned_checkpoints: u64,
-    /// Mid-frame disconnects fired at the front door.
-    pub conn_disconnects: u64,
-    /// Torn writes fired at the front door.
-    pub conn_torn_writes: u64,
-    /// Slow-loris stalls fired at the front door.
-    pub conn_slow_loris: u64,
-    /// Trainer crashes fired.
-    pub trainer_crashes: u64,
-    /// Stale-candidate floods fired.
-    pub trainer_floods: u64,
-    /// Transition drops fired.
-    pub trainer_drops: u64,
-    /// Torn journal appends fired.
-    pub wal_torn: u64,
-    /// Journal segment bit-flips fired.
-    pub wal_bitflips: u64,
-    /// Journal fsync stalls fired.
-    pub wal_stalls: u64,
-}
-
-impl FaultCounters {
-    /// Faults that degrade an epoch when they fire (stall past the
-    /// deadline, or a failed swap).
-    pub fn degrading(&self) -> u64 {
-        self.stalls + self.swap_fails
-    }
-
-    /// Whether any fault fired at all.
-    pub fn any(&self) -> bool {
-        self.drops
-            + self.delays
-            + self.duplicates
-            + self.corrupts
-            + self.stalls
-            + self.crashes
-            + self.swap_fails
-            + self.snapshot_corruptions
-            + self.poisoned_checkpoints
-            + self.conn_disconnects
-            + self.conn_torn_writes
-            + self.conn_slow_loris
-            + self.trainer_crashes
-            + self.trainer_floods
-            + self.trainer_drops
-            + self.wal_torn
-            + self.wal_bitflips
-            + self.wal_stalls
-            > 0
-    }
-}
-
-/// Applies a [`FaultPlan`] at the service's hook points, each fault
-/// exactly once, with cumulative fired-fault counters.
-#[derive(Debug)]
-pub struct FaultInjector {
-    ingest: Vec<Option<IngestFault>>,
-    shard: Mutex<BTreeMap<(u32, usize), ShardFault>>,
-    swap_fail: Mutex<BTreeSet<(u32, usize)>>,
-    snapshot: Mutex<VecDeque<SnapshotCorruption>>,
-    poison: Mutex<VecDeque<CheckpointPoison>>,
-    conn: Vec<Option<ConnFault>>,
-    trainer: Mutex<BTreeMap<u32, TrainerFault>>,
-    wal: Vec<Option<WalFault>>,
-    scheduled: ScheduledFaults,
-    offer_idx: AtomicUsize,
-    conn_offer_idx: AtomicUsize,
-    wal_offer_idx: AtomicUsize,
-    c_offers: AtomicU64,
-    c_drops: AtomicU64,
-    c_delays: AtomicU64,
-    c_delays_released: AtomicU64,
-    c_duplicates: AtomicU64,
-    c_corrupts: AtomicU64,
-    c_stalls: AtomicU64,
-    c_crashes: AtomicU64,
-    c_swap_fails: AtomicU64,
-    c_snapshot_corruptions: AtomicU64,
-    c_poisoned_checkpoints: AtomicU64,
-    c_conn_disconnects: AtomicU64,
-    c_conn_torn_writes: AtomicU64,
-    c_conn_slow_loris: AtomicU64,
-    c_trainer_crashes: AtomicU64,
-    c_trainer_floods: AtomicU64,
-    c_trainer_drops: AtomicU64,
-    c_wal_torn: AtomicU64,
-    c_wal_bitflips: AtomicU64,
-    c_wal_stalls: AtomicU64,
-}
-
-impl FaultInjector {
-    /// An injector executing `plan`.
-    pub fn new(plan: FaultPlan) -> Self {
-        let scheduled = plan.scheduled();
-        Self {
-            ingest: plan.ingest,
-            shard: Mutex::new(plan.shard),
-            swap_fail: Mutex::new(plan.swap_fail),
-            snapshot: Mutex::new(plan.snapshot.into()),
-            poison: Mutex::new(plan.poison.into()),
-            conn: plan.conn,
-            trainer: Mutex::new(plan.trainer),
-            wal: plan.wal,
-            scheduled,
-            offer_idx: AtomicUsize::new(0),
-            conn_offer_idx: AtomicUsize::new(0),
-            wal_offer_idx: AtomicUsize::new(0),
-            c_offers: AtomicU64::new(0),
-            c_drops: AtomicU64::new(0),
-            c_delays: AtomicU64::new(0),
-            c_delays_released: AtomicU64::new(0),
-            c_duplicates: AtomicU64::new(0),
-            c_corrupts: AtomicU64::new(0),
-            c_stalls: AtomicU64::new(0),
-            c_crashes: AtomicU64::new(0),
-            c_swap_fails: AtomicU64::new(0),
-            c_snapshot_corruptions: AtomicU64::new(0),
-            c_poisoned_checkpoints: AtomicU64::new(0),
-            c_conn_disconnects: AtomicU64::new(0),
-            c_conn_torn_writes: AtomicU64::new(0),
-            c_conn_slow_loris: AtomicU64::new(0),
-            c_trainer_crashes: AtomicU64::new(0),
-            c_trainer_floods: AtomicU64::new(0),
-            c_trainer_drops: AtomicU64::new(0),
-            c_wal_torn: AtomicU64::new(0),
-            c_wal_bitflips: AtomicU64::new(0),
-            c_wal_stalls: AtomicU64::new(0),
-        }
-    }
-
-    /// An injector executing the schedule drawn from `(seed, cfg)`.
-    pub fn from_seed(seed: u64, cfg: &FaultPlanConfig) -> Self {
-        Self::new(FaultPlan::generate(seed, cfg))
-    }
-
-    /// What the underlying plan scheduled (fixed at construction).
-    pub fn scheduled(&self) -> ScheduledFaults {
-        self.scheduled
-    }
-
-    fn lock<'m, T>(m: &'m Mutex<T>) -> std::sync::MutexGuard<'m, T> {
-        m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The fault (if any) for the next request offer. Counts the offer and
-    /// the fired fault.
-    pub fn next_ingest_fault(&self) -> Option<IngestFault> {
-        let idx = self.offer_idx.fetch_add(1, Ordering::Relaxed);
-        self.c_offers.fetch_add(1, Ordering::Relaxed);
-        let fault = self.ingest.get(idx).copied().flatten();
-        match fault {
-            Some(IngestFault::Drop) => {
-                self.c_drops.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Delay(_)) => {
-                self.c_delays.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Duplicate) => {
-                self.c_duplicates.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(IngestFault::Corrupt) => {
-                self.c_corrupts.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
-    }
-
-    /// The fault (if any) for the next frame offered over the front door.
-    /// Consumes the offer index and counts the fired fault. Connection
-    /// offers advance independently of ingest offers: the front-door
-    /// harness perturbs the wire without shifting the in-process schedule.
-    pub fn next_conn_fault(&self) -> Option<ConnFault> {
-        let idx = self.conn_offer_idx.fetch_add(1, Ordering::Relaxed);
-        let fault = self.conn.get(idx).copied().flatten();
-        match fault {
-            Some(ConnFault::MidFrameDisconnect) => {
-                self.c_conn_disconnects.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ConnFault::TornWrite) => {
-                self.c_conn_torn_writes.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ConnFault::SlowLoris) => {
-                self.c_conn_slow_loris.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
-    }
-
-    /// The fault (if any) for the next journaled push attempt. WAL
-    /// offers advance on their own index: arming the journal never
-    /// shifts the ingest or conn schedules, and vice versa.
-    pub fn next_wal_fault(&self) -> Option<WalFault> {
-        let idx = self.wal_offer_idx.fetch_add(1, Ordering::Relaxed);
-        let fault = self.wal.get(idx).copied().flatten();
-        match fault {
-            Some(WalFault::TornAppend) => {
-                self.c_wal_torn.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(WalFault::SegmentBitFlip) => {
-                self.c_wal_bitflips.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(WalFault::FsyncStall(_)) => {
-                self.c_wal_stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
-    }
-
-    /// Notes that a held-back event was delivered.
-    pub(crate) fn note_delay_released(&self) {
-        self.c_delays_released.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Takes (consumes) the shard fault scheduled for `(epoch, shard)`, if
-    /// any. One-shot: a crashed epoch's replay sees no fault.
-    pub fn take_shard_fault(&self, epoch: u32, shard: usize) -> Option<ShardFault> {
-        let fault = Self::lock(&self.shard).remove(&(epoch, shard));
-        match fault {
-            Some(ShardFault::Stall(_)) => {
-                self.c_stalls.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(ShardFault::Crash) => {
-                self.c_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
-    }
-
-    /// Takes (consumes) the trainer fault scheduled for `epoch`, if any.
-    /// One-shot, like every other fault kind.
-    pub fn take_trainer_fault(&self, epoch: u32) -> Option<TrainerFault> {
-        let fault = Self::lock(&self.trainer).remove(&epoch);
-        match fault {
-            Some(TrainerFault::Crash) => {
-                self.c_trainer_crashes.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(TrainerFault::StaleCandidateFlood(_)) => {
-                self.c_trainer_floods.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(TrainerFault::TransitionDrop) => {
-                self.c_trainer_drops.fetch_add(1, Ordering::Relaxed);
-            }
-            None => {}
-        }
-        fault
-    }
-
-    /// Takes (consumes) the registry-swap failure scheduled for
-    /// `(epoch, shard)`, if any.
-    pub fn take_swap_failure(&self, epoch: u32, shard: usize) -> bool {
-        let fired = Self::lock(&self.swap_fail).remove(&(epoch, shard));
-        if fired {
-            self.c_swap_fails.fetch_add(1, Ordering::Relaxed);
-        }
-        fired
-    }
-
-    /// Damages `text` according to the next scheduled snapshot corruption,
-    /// or returns it untouched when none is scheduled.
-    pub fn corrupt_snapshot(&self, text: String) -> String {
-        let Some(c) = Self::lock(&self.snapshot).pop_front() else {
-            return text;
-        };
-        self.c_snapshot_corruptions.fetch_add(1, Ordering::Relaxed);
-        apply_corruption(text, c)
-    }
-
-    /// Replaces a rollout submission's policy checkpoint text with the
-    /// next scheduled poison (consumed one-shot), or passes the text
-    /// through untouched when none is scheduled.
-    pub fn poison_checkpoint(&self, policy_text: Option<String>) -> Option<String> {
-        let Some(kind) = Self::lock(&self.poison).pop_front() else {
-            return policy_text;
-        };
-        self.c_poisoned_checkpoints.fetch_add(1, Ordering::Relaxed);
-        Some(poisoned_policy_text(kind))
-    }
-
-    /// The faults fired so far.
-    pub fn counters(&self) -> FaultCounters {
-        FaultCounters {
-            offers: self.c_offers.load(Ordering::Relaxed),
-            drops: self.c_drops.load(Ordering::Relaxed),
-            delays: self.c_delays.load(Ordering::Relaxed),
-            delays_released: self.c_delays_released.load(Ordering::Relaxed),
-            duplicates: self.c_duplicates.load(Ordering::Relaxed),
-            corrupts: self.c_corrupts.load(Ordering::Relaxed),
-            stalls: self.c_stalls.load(Ordering::Relaxed),
-            crashes: self.c_crashes.load(Ordering::Relaxed),
-            swap_fails: self.c_swap_fails.load(Ordering::Relaxed),
-            snapshot_corruptions: self.c_snapshot_corruptions.load(Ordering::Relaxed),
-            poisoned_checkpoints: self.c_poisoned_checkpoints.load(Ordering::Relaxed),
-            conn_disconnects: self.c_conn_disconnects.load(Ordering::Relaxed),
-            conn_torn_writes: self.c_conn_torn_writes.load(Ordering::Relaxed),
-            conn_slow_loris: self.c_conn_slow_loris.load(Ordering::Relaxed),
-            trainer_crashes: self.c_trainer_crashes.load(Ordering::Relaxed),
-            trainer_floods: self.c_trainer_floods.load(Ordering::Relaxed),
-            trainer_drops: self.c_trainer_drops.load(Ordering::Relaxed),
-            wal_torn: self.c_wal_torn.load(Ordering::Relaxed),
-            wal_bitflips: self.c_wal_bitflips.load(Ordering::Relaxed),
-            wal_stalls: self.c_wal_stalls.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The checkpoint text a poisoning of `kind` substitutes for the submitted
-/// policy. Deterministic per kind.
-pub fn poisoned_policy_text(kind: CheckpointPoison) -> String {
-    match kind {
-        CheckpointPoison::NanWeights => {
-            let mut net = Mlp::new(&[FEATURE_DIM, 4, 1], 0x6e616e);
-            net.visit_params_mut(|i, w, _| {
-                if i == 5 {
-                    *w = f64::NAN;
-                }
-            });
-            mlp_to_text(&net)
-        }
-        CheckpointPoison::WrongDims => mlp_to_text(&Mlp::new(&[FEATURE_DIM + 1, 4, 1], 0x646d73)),
-        CheckpointPoison::RewardTank => reward_tank_policy_text(),
-    }
-}
-
-/// A structurally valid policy that passes every admission check yet tanks
-/// the paper reward: a single linear layer whose only non-zero weight
-/// (1000, well under the probe bound) sits on the stand-by feature flag, so
-/// standing by always out-scores every rescue candidate and no team is
-/// ever dispatched.
-pub fn reward_tank_policy_text() -> String {
-    let mut net = Mlp::new(&[FEATURE_DIM, 1], 0);
-    net.visit_params_mut(|i, w, _| {
-        *w = if i == FEATURE_DIM - 1 { 1_000.0 } else { 0.0 };
-    });
-    mlp_to_text(&net)
-}
-
-/// Applies one corruption to a snapshot text. Snapshot formats are pure
-/// ASCII, so byte surgery stays valid UTF-8; `from_utf8_lossy` guards the
-/// general case anyway.
-fn apply_corruption(text: String, c: SnapshotCorruption) -> String {
-    let mut bytes = text.into_bytes();
-    if bytes.is_empty() {
-        return String::new();
-    }
-    match c {
-        SnapshotCorruption::Truncate(at) => {
-            // Keep at least one byte, lose at least one.
-            let keep = 1 + (at as usize) % bytes.len().max(2).saturating_sub(1);
-            bytes.truncate(keep.min(bytes.len() - 1));
-        }
-        SnapshotCorruption::BitFlip(at) => {
-            let i = (at as usize) % bytes.len();
-            bytes[i] ^= 0x10;
-        }
-    }
-    String::from_utf8_lossy(&bytes).into_owned()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn plans_are_deterministic_and_inspectable() {
-        let cfg = FaultPlanConfig::chaos(8, 2);
-        let a = FaultPlan::generate(42, &cfg);
-        let b = FaultPlan::generate(42, &cfg);
-        assert_eq!(a.scheduled(), b.scheduled());
-        assert_eq!(a.ingest, b.ingest);
-        assert_eq!(a.shard, b.shard);
-        let c = FaultPlan::generate(43, &cfg);
-        assert_ne!(
-            (a.ingest.clone(), a.shard.clone(), a.swap_fail.clone()),
-            (c.ingest.clone(), c.shard.clone(), c.swap_fail.clone()),
-            "different seeds draw different schedules"
-        );
-        let quiet = FaultPlan::generate(42, &FaultPlanConfig::quiet(8, 2));
-        assert!(!quiet.scheduled().any());
-    }
-
-    #[test]
-    fn injector_consumes_faults_one_shot() {
-        let plan = FaultPlan::empty()
-            .with_crash(3, 0)
-            .with_stall(4, 1, 500)
-            .with_swap_failure(2, 0)
-            .with_ingest_fault(1, IngestFault::Drop);
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.next_ingest_fault(), None);
-        assert_eq!(inj.next_ingest_fault(), Some(IngestFault::Drop));
-        assert_eq!(inj.next_ingest_fault(), None, "beyond the horizon");
-        assert_eq!(inj.take_shard_fault(3, 0), Some(ShardFault::Crash));
-        assert_eq!(inj.take_shard_fault(3, 0), None, "crash fires once");
-        assert_eq!(inj.take_shard_fault(4, 1), Some(ShardFault::Stall(500)));
-        assert!(inj.take_swap_failure(2, 0));
-        assert!(!inj.take_swap_failure(2, 0), "swap failure fires once");
-        let c = inj.counters();
-        assert_eq!(c.offers, 3);
-        assert_eq!(c.drops, 1);
-        assert_eq!(c.crashes, 1);
-        assert_eq!(c.stalls, 1);
-        assert_eq!(c.swap_fails, 1);
-        assert!(c.any());
-    }
-
-    #[test]
-    fn poisoned_checkpoints_consume_one_shot_and_build_what_they_claim() {
-        use mobirescue_rl::persist::mlp_from_text;
-        let plan = FaultPlan::empty()
-            .with_poisoned_checkpoint(CheckpointPoison::NanWeights)
-            .with_poisoned_checkpoint(CheckpointPoison::WrongDims)
-            .with_poisoned_checkpoint(CheckpointPoison::RewardTank);
-        assert_eq!(plan.scheduled().poisoned_checkpoints, 3);
-        let inj = FaultInjector::new(plan);
-
-        let nan = inj.poison_checkpoint(Some("good".into())).expect("text");
-        let net = mlp_from_text(&nan).expect("NaN poison still parses");
-        assert!(net.first_non_finite_param().is_some());
-
-        let wrong = inj.poison_checkpoint(None).expect("poison ignores None");
-        let net = mlp_from_text(&wrong).expect("parses");
-        assert_eq!(net.input_dim(), FEATURE_DIM + 1);
-
-        let tank = inj.poison_checkpoint(Some("good".into())).expect("text");
-        let net = mlp_from_text(&tank).expect("parses");
-        assert_eq!((net.input_dim(), net.output_dim()), (FEATURE_DIM, 1));
-        assert!(net.first_non_finite_param().is_none());
-        // Stand-by (flag set) out-scores any zone candidate (flag clear).
-        let mut standby = [0.0; FEATURE_DIM];
-        standby[FEATURE_DIM - 1] = 1.0;
-        let mut zone = [0.9; FEATURE_DIM];
-        zone[FEATURE_DIM - 1] = 0.0;
-        assert!(net.predict(&standby)[0] > net.predict(&zone)[0] + 100.0);
-
-        // Exhausted: submissions pass through untouched.
-        assert_eq!(
-            inj.poison_checkpoint(Some("good".into())).as_deref(),
-            Some("good")
-        );
-        assert_eq!(inj.counters().poisoned_checkpoints, 3);
-    }
-
-    #[test]
-    fn generated_poisons_cycle_and_leave_seeded_plans_untouched() {
-        let base_cfg = FaultPlanConfig::chaos(6, 2);
-        let with_poison = FaultPlanConfig {
-            poisoned_checkpoints: 4,
-            ..base_cfg.clone()
-        };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_poison);
-        assert_eq!(a.ingest, b.ingest, "poisons must not perturb other draws");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(
-            b.poison,
-            vec![
-                CheckpointPoison::NanWeights,
-                CheckpointPoison::WrongDims,
-                CheckpointPoison::RewardTank,
-                CheckpointPoison::NanWeights,
-            ]
-        );
-    }
-
-    #[test]
-    fn conn_faults_consume_one_shot_with_their_own_index() {
-        let plan = FaultPlan::empty()
-            .with_conn_fault(1, ConnFault::TornWrite)
-            .with_conn_fault(2, ConnFault::MidFrameDisconnect)
-            .with_conn_fault(3, ConnFault::SlowLoris)
-            .with_ingest_fault(0, IngestFault::Drop);
-        assert_eq!(plan.scheduled().conn, 3);
-        assert!(plan.scheduled().any());
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.next_conn_fault(), None);
-        assert_eq!(inj.next_conn_fault(), Some(ConnFault::TornWrite));
-        assert_eq!(inj.next_conn_fault(), Some(ConnFault::MidFrameDisconnect));
-        assert_eq!(inj.next_conn_fault(), Some(ConnFault::SlowLoris));
-        assert_eq!(inj.next_conn_fault(), None, "beyond the horizon");
-        // The conn index did not consume the ingest schedule.
-        assert_eq!(inj.next_ingest_fault(), Some(IngestFault::Drop));
-        let c = inj.counters();
-        assert_eq!(c.conn_disconnects, 1);
-        assert_eq!(c.conn_torn_writes, 1);
-        assert_eq!(c.conn_slow_loris, 1);
-        assert!(c.any());
-    }
-
-    #[test]
-    fn conn_draws_leave_seeded_plans_untouched() {
-        // Arming the front door must not perturb the in-process schedule a
-        // seed already draws — conn faults are drawn after everything else.
-        let base_cfg = FaultPlanConfig::chaos(6, 2);
-        let with_conn = FaultPlanConfig::net_chaos(6, 2);
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_conn);
-        assert_eq!(a.ingest, b.ingest, "conn draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.scheduled().conn, 0);
-        assert!(b.scheduled().conn > 0, "net chaos schedules conn faults");
-        // And the conn schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_conn);
-        assert_eq!(b.conn, c.conn);
-    }
-
-    #[test]
-    fn trainer_faults_consume_one_shot() {
-        let plan = FaultPlan::empty()
-            .with_trainer_fault(1, TrainerFault::Crash)
-            .with_trainer_fault(2, TrainerFault::StaleCandidateFlood(4))
-            .with_trainer_fault(3, TrainerFault::TransitionDrop);
-        assert_eq!(plan.scheduled().trainer, 3);
-        assert!(plan.scheduled().any());
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.take_trainer_fault(0), None);
-        assert_eq!(inj.take_trainer_fault(1), Some(TrainerFault::Crash));
-        assert_eq!(inj.take_trainer_fault(1), None, "crash fires once");
-        assert_eq!(
-            inj.take_trainer_fault(2),
-            Some(TrainerFault::StaleCandidateFlood(4))
-        );
-        assert_eq!(
-            inj.take_trainer_fault(3),
-            Some(TrainerFault::TransitionDrop)
-        );
-        let c = inj.counters();
-        assert_eq!(c.trainer_crashes, 1);
-        assert_eq!(c.trainer_floods, 1);
-        assert_eq!(c.trainer_drops, 1);
-        assert!(c.any());
-    }
-
-    #[test]
-    fn trainer_draws_leave_seeded_plans_untouched() {
-        // Arming the trainer must not perturb anything a seed already
-        // draws — trainer faults are drawn after every other kind.
-        let base_cfg = FaultPlanConfig::net_chaos(6, 2);
-        let with_trainer = FaultPlanConfig {
-            trainer_horizon: 6,
-            p_trainer_crash: 0.3,
-            p_trainer_flood: 0.3,
-            p_trainer_drop: 0.3,
-            ..base_cfg.clone()
-        };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_trainer);
-        assert_eq!(a.ingest, b.ingest, "trainer draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.conn, b.conn, "trainer draws must not perturb conn");
-        assert_eq!(a.scheduled().trainer, 0);
-        assert!(b.scheduled().trainer > 0, "horizon 6 at p=0.9 draws faults");
-        // And the trainer schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_trainer);
-        assert_eq!(b.trainer, c.trainer);
-        // The dedicated mix schedules only trainer faults.
-        let solo = FaultPlan::generate(7, &FaultPlanConfig::trainer_chaos(8, 2));
-        let sched = solo.scheduled();
-        assert_eq!(
-            (
-                sched.ingest,
-                sched.stalls,
-                sched.crashes,
-                sched.swap_fails,
-                sched.conn
-            ),
-            (0, 0, 0, 0, 0),
-            "trainer chaos arms no other fault kind"
-        );
-    }
-
-    #[test]
-    fn wal_faults_consume_one_shot_with_their_own_index() {
-        let plan = FaultPlan::empty()
-            .with_wal_fault(1, WalFault::TornAppend)
-            .with_wal_fault(2, WalFault::SegmentBitFlip)
-            .with_wal_fault(3, WalFault::FsyncStall(7))
-            .with_ingest_fault(0, IngestFault::Drop)
-            .with_conn_fault(0, ConnFault::TornWrite);
-        assert_eq!(plan.scheduled().wal, 3);
-        assert!(plan.scheduled().any());
-        let inj = FaultInjector::new(plan);
-        assert_eq!(inj.next_wal_fault(), None);
-        assert_eq!(inj.next_wal_fault(), Some(WalFault::TornAppend));
-        assert_eq!(inj.next_wal_fault(), Some(WalFault::SegmentBitFlip));
-        assert_eq!(inj.next_wal_fault(), Some(WalFault::FsyncStall(7)));
-        assert_eq!(inj.next_wal_fault(), None, "beyond the horizon");
-        // The WAL index consumed neither the ingest nor the conn schedule.
-        assert_eq!(inj.next_ingest_fault(), Some(IngestFault::Drop));
-        assert_eq!(inj.next_conn_fault(), Some(ConnFault::TornWrite));
-        let c = inj.counters();
-        assert_eq!(c.wal_torn, 1);
-        assert_eq!(c.wal_bitflips, 1);
-        assert_eq!(c.wal_stalls, 1);
-        assert!(c.any());
-    }
-
-    #[test]
-    fn wal_draws_leave_seeded_plans_untouched() {
-        // Arming the journal must not perturb anything a seed already
-        // draws — WAL faults are drawn after every other kind.
-        let base_cfg = FaultPlanConfig {
-            trainer_horizon: 6,
-            p_trainer_crash: 0.2,
-            p_trainer_flood: 0.2,
-            p_trainer_drop: 0.2,
-            ..FaultPlanConfig::net_chaos(6, 2)
-        };
-        let with_wal = FaultPlanConfig {
-            wal_horizon: 64,
-            p_wal_torn: 0.3,
-            p_wal_bitflip: 0.3,
-            p_wal_stall: 0.3,
-            wal_stall_ms: 10,
-            ..base_cfg.clone()
-        };
-        let a = FaultPlan::generate(7, &base_cfg);
-        let b = FaultPlan::generate(7, &with_wal);
-        assert_eq!(a.ingest, b.ingest, "wal draws must not perturb ingest");
-        assert_eq!(a.shard, b.shard);
-        assert_eq!(a.swap_fail, b.swap_fail);
-        assert_eq!(a.conn, b.conn, "wal draws must not perturb conn");
-        assert_eq!(a.trainer, b.trainer, "wal draws must not perturb trainer");
-        assert_eq!(a.scheduled().wal, 0);
-        assert!(b.scheduled().wal > 0, "horizon 64 at p=0.9 draws faults");
-        // And the WAL schedule itself is deterministic per seed.
-        let c = FaultPlan::generate(7, &with_wal);
-        assert_eq!(b.wal, c.wal);
-        // The dedicated mix schedules only WAL faults.
-        let solo = FaultPlan::generate(7, &FaultPlanConfig::wal_chaos(8, 2));
-        let sched = solo.scheduled();
-        assert_eq!(
-            (
-                sched.ingest,
-                sched.stalls,
-                sched.crashes,
-                sched.swap_fails,
-                sched.conn,
-                sched.trainer
-            ),
-            (0, 0, 0, 0, 0, 0),
-            "wal chaos arms no other fault kind"
-        );
-        assert!(sched.wal > 0);
-    }
-
-    #[test]
-    fn snapshot_corruption_damages_text() {
-        let plan = FaultPlan::empty()
-            .with_snapshot_corruption(SnapshotCorruption::BitFlip(7))
-            .with_snapshot_corruption(SnapshotCorruption::Truncate(5));
-        let inj = FaultInjector::new(plan);
-        let original = "mrserve 1\nepochs 3\nend\nsum 0123456789abcdef\n".to_owned();
-        let flipped = inj.corrupt_snapshot(original.clone());
-        assert_ne!(flipped, original);
-        assert_eq!(flipped.len(), original.len());
-        let truncated = inj.corrupt_snapshot(original.clone());
-        assert!(truncated.len() < original.len());
-        // Plan exhausted: further writes pass through untouched.
-        assert_eq!(inj.corrupt_snapshot(original.clone()), original);
-        assert_eq!(inj.counters().snapshot_corruptions, 2);
+impl std::fmt::Debug for dyn FaultHooks {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("dyn FaultHooks")
     }
 }

@@ -26,19 +26,15 @@
 //! * **Sharded runner** ([`DispatchService`]) — hosts independent city
 //!   shards on worker threads and aggregates a [`MetricsSnapshot`]
 //!   (queue depths, epoch-latency histogram, served/shed totals).
-//! * **Fault injection & graceful degradation** ([`FaultPlan`],
-//!   [`FaultInjector`], [`chaos`]) — a seeded, deterministic fault
-//!   schedule (drop/delay/duplicate/corrupt ingestion, stall/crash a
-//!   shard, fail a hot-swap, poison a checkpoint, corrupt a snapshot
-//!   write). The service applies the in-process faults (shard, hot-swap,
-//!   trainer and WAL faults) through `ServeConfig::faults`; the chaos
-//!   harnesses apply the boundary faults (offers, snapshot writes,
-//!   checkpoint deliveries) themselves, so the ingest path never
-//!   branches on a plan. Paired with the recovery the faults
-//!   demand: bounded ingestion retry, per-epoch dispatch deadline with
-//!   fallback to the heuristic dispatcher (`degraded_epochs`),
-//!   crash-restart from the last boundary checkpoint, and
-//!   checksum-validated snapshots.
+//! * **Graceful degradation & fault hooks** ([`FaultHooks`]) — bounded
+//!   ingestion retry, a per-epoch dispatch deadline with fallback to the
+//!   heuristic dispatcher (`degraded_epochs`), crash-restart from the
+//!   last boundary checkpoint, and checksum-validated snapshots. The
+//!   in-process faults that exercise them (shard stalls and crashes,
+//!   hot-swap failures, trainer and WAL faults) enter through one
+//!   four-method hook trait, `None` in production; seeded fault plans
+//!   and the chaos harnesses live in the dev-only `mobirescue-chaos`
+//!   crate.
 //! * **Guarded model rollout** ([`rollout`],
 //!   [`DispatchService::submit_rollout`]) — hot-swapped checkpoints pass
 //!   an admission probe (finite weights, matching shapes, sane outputs on
@@ -53,21 +49,20 @@
 //!   emits candidate checkpoints into the rollout pipeline, so the
 //!   service improves itself without ever serving an unguarded model.
 //!   Deterministic on a [`SimClock`], snapshot/restore-exact, and pinned
-//!   by its own chaos suite ([`TrainerFault`]).
+//!   by the trainer chaos suite ([`TrainerFault`]).
 //! * **Durable ingest journal** ([`wal`], [`Wal`], [`FsyncPolicy`]) —
 //!   every accepted offer is appended to a checksummed, segment-rotated
 //!   write-ahead log *before* it can be acked; recovery replays the
 //!   journal suffix past the snapshot's high-water mark, bit-identical
 //!   to an uncrashed twin at any crash byte. Torn tails truncate with a
 //!   typed report, interior damage is a typed refusal, and the
-//!   crash-at-any-byte contract is pinned by its own chaos suite
+//!   crash-at-any-byte contract is pinned by the WAL chaos suite
 //!   ([`WalFault`]).
 //!
 //! Built entirely on `std` (`std::thread`, `std::sync::mpsc`).
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod clock;
 pub mod error;
 pub mod event;
@@ -82,25 +77,17 @@ mod shard;
 pub mod trainer;
 pub mod wal;
 
-pub use chaos::{
-    rollout_chaos_divergence, run_chaos, trainer_chaos_divergence, wal_chaos_divergence,
-    ChaosOptions, ChaosOutcome, RolloutChaosOptions, TrainerChaosOptions, WalChaosOptions,
-    CHAOS_SEEDS,
-};
 pub use clock::{Clock, ClockTimeSource, SimClock, WallClock};
 pub use error::ServeError;
 pub use event::Event;
-pub use fault::{
-    poisoned_policy_text, reward_tank_policy_text, CheckpointPoison, ConnFault, FaultCounters,
-    FaultInjector, FaultPlan, FaultPlanConfig, IngestFault, ScheduledFaults, ShardFault,
-    SnapshotCorruption, TrainerFault, WalFault,
-};
+pub use fault::{FaultHooks, ShardFault, TrainerFault, WalFault};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics, LATENCY_BOUNDS_MS};
 pub use mobirescue_obs as obs;
 pub use queue::{BoundedQueue, ShedPolicy};
 pub use registry::{ModelBundle, ModelRegistry};
 pub use rollout::{
-    Artifact, RolloutConfig, RolloutCounters, RolloutError, RolloutStage, RolloutStatus,
+    poisoned_policy_text, reward_tank_policy_text, Artifact, CheckpointPoison, RolloutConfig,
+    RolloutCounters, RolloutError, RolloutStage, RolloutStatus,
 };
 pub use scheduler::EpochScheduler;
 pub use service::{DispatchService, RetryPolicy, ServeConfig};

@@ -31,7 +31,7 @@ use crate::registry::ModelBundle;
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::{RlDispatchConfig, FEATURE_DIM};
 use mobirescue_rl::nn::Mlp;
-use mobirescue_rl::persist::{mlp_from_text, probe_mlp};
+use mobirescue_rl::persist::{mlp_from_text, mlp_to_text, probe_mlp};
 use mobirescue_sim::{EpochReport, SimConfig};
 use std::sync::Arc;
 
@@ -328,10 +328,56 @@ pub fn epoch_reward(rl: &RlDispatchConfig, sim: &SimConfig, report: &EpochReport
         - rl.gamma_weight * (report.serving_at_tick as f64)
 }
 
+/// How a checkpoint delivery is poisoned before it reaches the admission
+/// gate (a corrupted training job, a bad export, or an adversarially
+/// regressed policy). The `serve` demo and the chaos harnesses deliver
+/// these to prove the gates hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CheckpointPoison {
+    /// The policy parses but carries a NaN weight — admission must reject.
+    NanWeights,
+    /// The policy's input layer disagrees with `FEATURE_DIM` — admission
+    /// must reject.
+    WrongDims,
+    /// A structurally valid policy that pins every team on stand-by,
+    /// tanking the paper reward — only the shadow gate can catch it.
+    RewardTank,
+}
+
+/// The checkpoint text a poisoning of `kind` substitutes for the submitted
+/// policy. Deterministic per kind.
+pub fn poisoned_policy_text(kind: CheckpointPoison) -> String {
+    match kind {
+        CheckpointPoison::NanWeights => {
+            let mut net = Mlp::new(&[FEATURE_DIM, 4, 1], 0x6e616e);
+            net.visit_params_mut(|i, w, _| {
+                if i == 5 {
+                    *w = f64::NAN;
+                }
+            });
+            mlp_to_text(&net)
+        }
+        CheckpointPoison::WrongDims => mlp_to_text(&Mlp::new(&[FEATURE_DIM + 1, 4, 1], 0x646d73)),
+        CheckpointPoison::RewardTank => reward_tank_policy_text(),
+    }
+}
+
+/// A structurally valid policy that passes every admission check yet tanks
+/// the paper reward: a single linear layer whose only non-zero weight
+/// (1000, well under the probe bound) sits on the stand-by feature flag, so
+/// standing by always out-scores every rescue candidate and no team is
+/// ever dispatched.
+pub fn reward_tank_policy_text() -> String {
+    let mut net = Mlp::new(&[FEATURE_DIM, 1], 0);
+    net.visit_params_mut(|i, w, _| {
+        *w = if i == FEATURE_DIM - 1 { 1_000.0 } else { 0.0 };
+    });
+    mlp_to_text(&net)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobirescue_rl::persist::mlp_to_text;
 
     #[test]
     fn admission_accepts_a_healthy_policy() {

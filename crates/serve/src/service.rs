@@ -6,20 +6,19 @@
 use crate::clock::{Clock, ClockTimeSource};
 use crate::error::ServeError;
 use crate::event::Event;
-use crate::fault::{reward_tank_policy_text, TrainerFault, WalFault};
+use crate::fault::{FaultHooks, TrainerFault, WalFault};
 use crate::metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics};
 use crate::queue::{BoundedQueue, ShedPolicy};
 use crate::registry::{ModelBundle, ModelRegistry};
 use crate::rollout::{
-    self, CandidateBundle, RolloutConfig, RolloutCounters, RolloutError, RolloutInFlight,
-    RolloutStatus,
+    self, reward_tank_policy_text, CandidateBundle, RolloutConfig, RolloutCounters, RolloutError,
+    RolloutInFlight, RolloutStatus,
 };
 use crate::shard::{
     spawn_shard, RolloutDirective, ShardCmd, ShardReply, ShardSpec, ShardStatus, SwapError,
 };
 use crate::trainer::{Trainer, TrainerConfig, TrainerObs, TrainerStatus};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
-use crate::FaultInjector;
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::RlDispatchConfig;
 use mobirescue_core::scenario::Scenario;
@@ -49,13 +48,13 @@ pub struct ServeConfig {
     pub sim: SimConfig,
     /// Dispatcher settings shared by all shards.
     pub rl: RlDispatchConfig,
-    /// Deterministic fault schedule for chaos testing (`None` in
-    /// production: every hook is a no-op). The service applies only the
-    /// in-process faults a caller cannot cause — shard stalls and
-    /// crashes, swap failures, trainer faults, WAL appends — and never
-    /// consults it on the ingest, snapshot or rollout-submission paths:
-    /// boundary faults are the chaos harness's to apply.
-    pub faults: Option<Arc<FaultInjector>>,
+    /// In-process fault hooks for chaos testing (`None` in production:
+    /// no hook fires). The service asks them only about faults a caller
+    /// cannot cause — shard stalls and crashes, swap failures, trainer
+    /// faults, WAL appends — and never on the ingest, snapshot or
+    /// rollout-submission paths: boundary faults are the chaos harness's
+    /// to apply.
+    pub faults: Option<Arc<dyn FaultHooks>>,
     /// Per-epoch dispatch compute budget, ms. A shard whose primary
     /// dispatcher exceeds it discards the late plan and replans with the
     /// heuristic fallback (a degraded epoch). `None` disables the
@@ -416,14 +415,14 @@ impl DispatchService {
     }
 
     /// Appends one admitted offer for `shard` to the journal, applying the
-    /// next scheduled [`WalFault`] (if a [`FaultInjector`] is configured).
+    /// [`WalFault`] the configured [`FaultHooks`] hand out (if any).
     fn journal(&self, wal: &mut Wal, shard: usize, spec: RequestSpec) -> Result<(), ServeError> {
         let entry = WalEntry {
             clock_ms: self.clock.now_ms(),
             shard,
             spec,
         };
-        match self.config.faults.as_ref().and_then(|f| f.next_wal_fault()) {
+        match self.config.faults.as_ref().and_then(|f| f.wal_fault()) {
             Some(WalFault::TornAppend) => {
                 // The append dies mid-write: the tail is torn (and healed
                 // in place, as recovery would), nothing was made durable,
@@ -433,17 +432,6 @@ impl DispatchService {
                     .events()
                     .log(Level::Warn, 0, Some(shard), format!("wal: injected {err}"));
                 return Err(ServeError::Wal(err));
-            }
-            Some(WalFault::SegmentBitFlip) => {
-                wal.append(&[entry])?;
-                if let Some((segment, offset)) = wal.inject_bit_flip() {
-                    self.obs.events().log(
-                        Level::Warn,
-                        0,
-                        Some(shard),
-                        format!("wal: injected bit flip in {segment} at byte {offset}"),
-                    );
-                }
             }
             Some(WalFault::FsyncStall(ms)) => {
                 self.clock.sleep_ms(ms);
@@ -1313,7 +1301,7 @@ impl DispatchService {
             .config
             .faults
             .as_ref()
-            .and_then(|f| f.take_trainer_fault(epoch));
+            .and_then(|f| f.trainer_fault(epoch));
         let mut flood = 0u32;
         match fault {
             None => {}

@@ -26,7 +26,7 @@
 //!   the plan computed late is discarded and the heuristic replans, via
 //!   [`World::run_epoch_with_deadline`];
 //! * a registry hot-swap fails and no previously-built dispatcher exists
-//!   (or a [`crate::FaultInjector`] injected a swap failure);
+//!   (or a [`crate::FaultHooks`] implementation injected a swap failure);
 //!
 //! The budget is checked against the *shard's own* measured dispatch time,
 //! not an absolute clock instant: shards share one service clock, so an
@@ -34,7 +34,7 @@
 //! deadline decisions.
 
 use crate::clock::{Clock, ClockTimeSource};
-use crate::fault::{FaultInjector, ShardFault};
+use crate::fault::{FaultHooks, ShardFault};
 use crate::registry::{ModelBundle, ModelRegistry};
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig, FEATURE_DIM};
@@ -56,7 +56,7 @@ use std::thread::JoinHandle;
 /// compare injected faults against observed swap failures by kind).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SwapError {
-    /// A fault injector simulated the registry being unreachable.
+    /// A fault hook simulated the registry being unreachable.
     Injected,
     /// The current bundle failed to build a dispatcher (parse or shape
     /// failure in a directly-installed checkpoint).
@@ -167,8 +167,8 @@ pub(crate) struct ShardSpec {
     pub clock: Arc<dyn Clock>,
     pub sim: SimConfig,
     pub rl: RlDispatchConfig,
-    /// Fault schedule shared with the service (chaos testing only).
-    pub faults: Option<Arc<FaultInjector>>,
+    /// Fault hooks shared with the service (chaos testing only).
+    pub faults: Option<Arc<dyn FaultHooks>>,
     /// Service observability registry: workers record the per-epoch phase
     /// histograms and publish their routing-cache gauges into it.
     pub obs: Arc<Registry>,
@@ -347,7 +347,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                 // death looks like: a dead channel. The fault was consumed
                 // above, so the post-restore replay of this epoch runs it
                 // unfaulted (replay masking).
-                let stall_ms = match faults.and_then(|f| f.take_shard_fault(epoch, index)) {
+                let stall_ms = match faults.and_then(|f| f.shard_fault(epoch, index)) {
                     Some(ShardFault::Crash) => return,
                     Some(ShardFault::Stall(ms)) => ms,
                     None => 0,
@@ -365,7 +365,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                 let mut shadow_cand: Option<Arc<ModelBundle>> = None;
                 match &rollout {
                     Some(RolloutDirective::Canary(cand)) => {
-                        if faults.is_some_and(|f| f.take_swap_failure(epoch, index)) {
+                        if faults.is_some_and(|f| f.swap_failure(epoch, index)) {
                             swap_error = Some(SwapError::Injected);
                             force_fallback = true;
                         } else if !Arc::ptr_eq(&bundle, cand) || dispatcher.is_none() {
@@ -384,7 +384,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
                         if let Some(RolloutDirective::Shadow(cand)) = directive {
                             shadow_cand = Some(Arc::clone(cand));
                         }
-                        if faults.is_some_and(|f| f.take_swap_failure(epoch, index)) {
+                        if faults.is_some_and(|f| f.swap_failure(epoch, index)) {
                             swap_error = Some(SwapError::Injected);
                             force_fallback = true;
                         } else {

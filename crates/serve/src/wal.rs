@@ -47,7 +47,7 @@ use mobirescue_roadnet::graph::SegmentId;
 use mobirescue_sim::{fnv1a_64_bytes, RequestSpec};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -531,41 +531,6 @@ impl Wal {
         }
     }
 
-    /// Fault hook ([`crate::fault::WalFault::SegmentBitFlip`]): flips
-    /// one bit of the most recently appended record *on disk* — silent
-    /// storage rot. The live run is unaffected; the next recovery must
-    /// refuse with a typed [`WalError::Corrupt`] naming this segment
-    /// and offset. Returns the damaged location, or `None` when the
-    /// active segment holds no record yet.
-    pub fn inject_bit_flip(&mut self) -> Option<(String, u64)> {
-        let start = self.active_start_seq();
-        if self.last_seq < start {
-            return None;
-        }
-        let path = self.active_path();
-        // Damage a mid-line byte of the active segment's first record:
-        // terminated interior damage, unambiguously not a torn tail.
-        let flip = (|| -> std::io::Result<(String, u64)> {
-            let mut text = String::new();
-            self.file.seek(SeekFrom::Start(0))?;
-            self.file.read_to_string(&mut text)?;
-            let header_len = text.find('\n').map_or(0, |i| i + 1) as u64;
-            let offset = header_len + 4;
-            self.file.seek(SeekFrom::Start(offset))?;
-            let mut b = [0u8; 1];
-            self.file.read_exact(&mut b)?;
-            self.file.seek(SeekFrom::Start(offset))?;
-            self.file.write_all(&[b[0] ^ 0x10])?;
-            self.file.seek(SeekFrom::End(0))?;
-            let name = path
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default();
-            Ok((name, header_len))
-        })();
-        flip.ok()
-    }
-
     fn active_path(&self) -> PathBuf {
         self.segments
             .last()
@@ -951,13 +916,18 @@ mod tests {
         assert_eq!(wal.last_seq(), 1, "the torn entry was never journaled");
         wal.append(&[entry(2)]).expect("append after self-heal");
         drop(wal);
-        let (mut wal, rec) = open(&dir);
+        let (wal, rec) = open(&dir);
         assert!(rec.torn.is_none(), "the tear healed in-process");
         assert_eq!(rec.records.len(), 2);
-
-        let (segment, offset) = wal.inject_bit_flip().expect("a record exists to damage");
-        assert_eq!(segment, segment_name(1));
         drop(wal);
+
+        // Silent storage rot: one bit of the first record flips on disk.
+        let seg = dir.join(segment_name(1));
+        let mut bytes = std::fs::read(&seg).expect("segment readable");
+        let header_len = bytes.iter().position(|&b| b == b'\n').expect("header") + 1;
+        bytes[header_len + 4] ^= 0x10;
+        std::fs::write(&seg, &bytes).expect("damage written");
+        let (segment, offset) = (segment_name(1), header_len as u64);
         let mut cfg = WalConfig::new(&dir);
         cfg.fsync = FsyncPolicy::Off;
         match Wal::open(cfg, &Registry::new(), time()) {

@@ -2,9 +2,8 @@
 //! registry-backed counters and routing gauges, and snapshot→restore→
 //! continue never double-counts — even into a pre-populated host registry.
 
-use mobirescue_core::scenario::Scenario;
+use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::obs::{ObsSnapshot, Registry};
 use mobirescue_serve::{Clock, DispatchService, Event, ModelRegistry, ServeConfig, SimClock};
 use mobirescue_sim::{RequestSpec, SimConfig};
@@ -20,7 +19,7 @@ const PHASES: [&str; 5] = [
 ];
 
 fn start_service(config: ServeConfig) -> (Arc<Scenario>, DispatchService) {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let service = DispatchService::start(
         Arc::clone(&scenario),
         config,

@@ -3,11 +3,10 @@
 //! in-flight rollout state surviving a snapshot/restore cycle.
 
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
-use mobirescue_core::scenario::Scenario;
+use mobirescue_core::scenario::{Scenario, ScenarioConfig};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::chaos::chaos_scenario;
 use mobirescue_serve::{
     reward_tank_policy_text, Clock, DispatchService, Event, ModelRegistry, RolloutConfig,
     RolloutError, RolloutStage, ServeConfig, ServeError, SimClock,
@@ -71,7 +70,7 @@ fn ingest_epoch(service: &DispatchService, scenario: &Scenario, epoch: u32) {
 
 #[test]
 fn second_submission_is_rejected_while_one_is_in_flight() {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let registry = Arc::new(ModelRegistry::new(None, Some(competent_net(1))));
     let service = start(&scenario, serve_config(RolloutConfig::default()), &registry);
 
@@ -97,7 +96,7 @@ fn second_submission_is_rejected_while_one_is_in_flight() {
 
 #[test]
 fn reward_tank_dies_in_shadow_and_the_registry_never_moves() {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let registry = Arc::new(ModelRegistry::new(None, Some(competent_net(1))));
     let v1 = registry.current();
     let config = serve_config(RolloutConfig {
@@ -138,7 +137,7 @@ fn reward_tank_dies_in_shadow_and_the_registry_never_moves() {
 
 #[test]
 fn watch_regression_rolls_back_to_the_exact_prior_bundle() {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let registry = Arc::new(ModelRegistry::new(None, Some(competent_net(3))));
     let v1 = registry.current();
     // No shadow or canary: promotion is immediate, and only the watch
@@ -189,7 +188,7 @@ fn watch_regression_rolls_back_to_the_exact_prior_bundle() {
 
 #[test]
 fn zero_gate_config_promotes_immediately() {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let registry = Arc::new(ModelRegistry::new(None, Some(competent_net(4))));
     let config = serve_config(RolloutConfig {
         shadow_epochs: 0,
@@ -212,7 +211,7 @@ fn zero_gate_config_promotes_immediately() {
 
 #[test]
 fn in_flight_rollout_survives_snapshot_and_restore() {
-    let scenario = Arc::new(chaos_scenario());
+    let scenario = Arc::new(ScenarioConfig::small().florence().build(11));
     let make_registry = || Arc::new(ModelRegistry::new(None, Some(competent_net(6))));
     let config = serve_config(RolloutConfig {
         shadow_epochs: 3,

@@ -2,7 +2,7 @@
 # Repo verification: the tier-1 gate (ROADMAP.md) plus formatting and
 # lints, with a per-step PASS/FAIL summary.
 #
-#   scripts/verify.sh          # tier-1 + fmt + clippy + pinned chaos suite
+#   scripts/verify.sh          # tier-1 (chaos suites included) + fmt + clippy
 #   scripts/verify.sh --full   # additionally run the whole workspace's tests
 #
 # Every step runs even when an earlier one fails, so one invocation
@@ -32,12 +32,9 @@ run_step() { # run_step NAME CMD...
 run_step "fmt" cargo fmt --check
 run_step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 run_step "tier-1 build" cargo build --release
+# The root package's tests include the five pinned chaos suites
+# (tests/{chaos,rollout_chaos,trainer_chaos,net_chaos,wal_chaos}.rs).
 run_step "tier-1 tests" cargo test -q
-run_step "chaos suite" cargo test -q --test chaos
-run_step "rollout chaos suite" cargo test -q --test rollout_chaos
-run_step "trainer chaos suite" cargo test -q --test trainer_chaos
-run_step "net chaos suite" cargo test -q --test net_chaos
-run_step "wal chaos suite" cargo test -q --test wal_chaos
 run_step "net crate tests" cargo test -q -p mobirescue-net
 # Scale gate only (routing/serve gates have their own CI jobs); medium
 # preset with a loosened ceiling — verify machines vary more than the

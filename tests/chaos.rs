@@ -1,20 +1,23 @@
 //! The chaos suite: the full dispatch service under seeded fault
 //! schedules must degrade gracefully, never silently.
 //!
-//! Each test drives `mobirescue_serve::chaos` — the same harness the
+//! Each test drives `mobirescue_chaos` — the same harness the
 //! `chaos` bench binary sweeps — so any seed that fails a sweep drops
 //! straight into a reproducible test here. Everything runs on a
 //! `SimClock`: a run is a pure function of its fault plan, and these
 //! tests are deterministic.
 
+use mobirescue_chaos::{
+    chaos_scenario, crash_replay_divergence, run_chaos, ChaosOptions, FaultInjector, FaultPlan,
+    IngestFault, SnapshotCorruption, CHAOS_SEEDS,
+};
 use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::mlp_to_text;
 use mobirescue_roadnet::graph::SegmentId;
-use mobirescue_serve::chaos::{crash_replay_divergence, run_chaos, ChaosOptions};
 use mobirescue_serve::{
-    CheckpointPoison, Clock, DispatchService, Event, FaultInjector, FaultPlan, IngestFault,
-    ModelRegistry, ServeConfig, ServeError, SimClock, SnapshotCorruption,
+    CheckpointPoison, Clock, DispatchService, Event, FaultHooks, ModelRegistry, ServeConfig,
+    ServeError, SimClock,
 };
 use mobirescue_sim::{RequestSpec, SimConfig};
 use std::sync::Arc;
@@ -22,7 +25,7 @@ use std::sync::Arc;
 /// The fixed seed set the suite (and `scripts/verify.sh`) pins. Chosen
 /// arbitrarily; together they exercise every fault kind at least once,
 /// which `chaos_invariants_hold_for_fixed_seeds` asserts.
-const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
+const SEEDS: [u64; 5] = CHAOS_SEEDS;
 
 #[test]
 fn chaos_invariants_hold_for_fixed_seeds() {
@@ -112,7 +115,7 @@ fn corrupted_snapshot_writes_are_rejected_on_restore() {
         SnapshotCorruption::Truncate(12_345),
         SnapshotCorruption::BitFlip(6_789),
     ] {
-        let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
+        let scenario = Arc::new(chaos_scenario());
         let injector = FaultInjector::new(FaultPlan::empty().with_snapshot_corruption(corruption));
         let config = two_shard_config();
         let registry = Arc::new(ModelRegistry::new(None, None));
@@ -148,7 +151,7 @@ fn boundary_faults_never_reach_the_service() {
     // Ingest, snapshot and checkpoint faults are the caller's to apply.
     // A service handed a plan full of them must behave exactly like one
     // with no plan at all, and must never draw from it.
-    let scenario = Arc::new(mobirescue_serve::chaos::chaos_scenario());
+    let scenario = Arc::new(chaos_scenario());
     let plan = FaultPlan::empty()
         .with_ingest_fault(0, IngestFault::Drop)
         .with_ingest_fault(1, IngestFault::Delay(1))
@@ -157,7 +160,7 @@ fn boundary_faults_never_reach_the_service() {
         .with_snapshot_corruption(SnapshotCorruption::BitFlip(7))
         .with_poisoned_checkpoint(CheckpointPoison::NanWeights);
     let injector = Arc::new(FaultInjector::new(plan));
-    let run = |faults: Option<Arc<FaultInjector>>| {
+    let run = |faults: Option<Arc<dyn FaultHooks>>| {
         let mut config = two_shard_config();
         config.faults = faults;
         let service = DispatchService::start(
@@ -192,7 +195,7 @@ fn boundary_faults_never_reach_the_service() {
         service.shutdown();
         end
     };
-    let (faulted_metrics, faulted_snapshot) = run(Some(Arc::clone(&injector)));
+    let (faulted_metrics, faulted_snapshot) = run(Some(injector.clone()));
     let (clean_metrics, clean_snapshot) = run(None);
     assert_eq!(clean_metrics.requests_accepted, 18);
     assert_eq!(faulted_metrics, clean_metrics);

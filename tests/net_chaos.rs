@@ -5,13 +5,13 @@
 //! to a connection fault, and the wire-visible NACKs reconcile with the
 //! bounded queues' own shed counters. Overload is honest or it is a bug.
 //!
-//! The schedules come from `serve::fault` (the conn draws happen after
-//! all in-process draws, so these seeds never perturb the in-process
-//! chaos suite), the sockets are real, and the invariants are checked by
-//! [`run_net_chaos`] itself — a seed that fails here reproduces as
-//! `run_net_chaos(seed, &opts)`.
+//! The schedules come from `mobirescue_chaos::fault` (the conn draws
+//! happen after all in-process draws, so these seeds never perturb the
+//! in-process chaos suite), the sockets are real, and the invariants are
+//! checked by [`run_net_chaos`] itself — a seed that fails here
+//! reproduces as `run_net_chaos(seed, &opts)`.
 
-use mobirescue_net::{run_net_chaos, NetChaosOptions};
+use mobirescue_chaos::{run_net_chaos, NetChaosOptions};
 
 /// The pinned seed set `scripts/verify.sh` runs. Chosen so that, across
 /// the set, every connection-fault kind fires at least once — asserted

@@ -1,7 +1,7 @@
 //! Rollout chaos suite: poisoned checkpoints against the guarded
 //! promotion pipeline.
 //!
-//! Each run drives `mobirescue_serve::chaos::rollout_chaos_divergence`,
+//! Each run drives `mobirescue_chaos::rollout_chaos_divergence`,
 //! which feeds NaN-weight, wrong-dimension, and reward-tanking
 //! checkpoints into `DispatchService::submit_rollout` and asserts, inside
 //! the harness, that
@@ -18,10 +18,10 @@
 //! seed; the suite pins the same seed set as `tests/chaos.rs` and
 //! `scripts/verify.sh`.
 
-use mobirescue_serve::chaos::{rollout_chaos_divergence, RolloutChaosOptions};
+use mobirescue_chaos::{rollout_chaos_divergence, RolloutChaosOptions, CHAOS_SEEDS};
 
 /// Same pinned set as the ingestion/crash chaos suite.
-const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
+const SEEDS: [u64; 5] = CHAOS_SEEDS;
 
 #[test]
 fn poisoned_rollouts_never_serve_and_twins_stay_bit_identical() {

@@ -1,6 +1,6 @@
 //! Trainer chaos suite: faults injected into the online training loop.
 //!
-//! Each run drives `mobirescue_serve::chaos::trainer_chaos_divergence`,
+//! Each run drives `mobirescue_chaos::trainer_chaos_divergence`,
 //! which arms `TrainerFault` schedules against a service running the
 //! background DQN trainer and asserts, inside the harness, that
 //!
@@ -19,10 +19,10 @@
 //! seed; the suite pins the same seed set as `tests/chaos.rs` and
 //! `scripts/verify.sh`.
 
-use mobirescue_serve::chaos::{trainer_chaos_divergence, TrainerChaosOptions};
+use mobirescue_chaos::{trainer_chaos_divergence, TrainerChaosOptions, CHAOS_SEEDS};
 
 /// Same pinned set as the ingestion/crash and rollout chaos suites.
-const SEEDS: [u64; 5] = mobirescue_serve::CHAOS_SEEDS;
+const SEEDS: [u64; 5] = CHAOS_SEEDS;
 
 #[test]
 fn trainer_faults_never_break_conservation_or_serve_unguarded_models() {

@@ -1,6 +1,6 @@
 //! WAL chaos suite: kill -9 at any byte of the durable ingest journal.
 //!
-//! Each run drives `mobirescue_serve::chaos::wal_chaos_divergence`, which
+//! Each run drives `mobirescue_chaos::wal_chaos_divergence`, which
 //! arms `WalFault` schedules against a journal-backed service and
 //! asserts, inside the harness, that
 //!
@@ -21,11 +21,10 @@
 //!    never a silent wrong replay.
 //!
 //! Everything runs on a `SimClock`, so a run is a pure function of its
-//! seed; the suite iterates `mobirescue_serve::CHAOS_SEEDS`, the same
+//! seed; the suite iterates `mobirescue_chaos::CHAOS_SEEDS`, the same
 //! constant the chaos sweep binary and the sibling suites pin.
 
-use mobirescue_serve::chaos::{wal_chaos_divergence, WalChaosOptions};
-use mobirescue_serve::CHAOS_SEEDS;
+use mobirescue_chaos::{wal_chaos_divergence, WalChaosOptions, CHAOS_SEEDS};
 
 #[test]
 fn crash_at_any_journal_byte_recovers_bit_identically() {
