@@ -1,24 +1,32 @@
-//! Pluggable time for span measurement.
+//! Pluggable time for span measurement and scheduling.
 //!
 //! Nothing in this crate reads the OS clock directly: spans measure on a
 //! [`TimeSource`]. Deployments pass [`WallTime`]; deterministic tests pass
-//! [`ManualTime`] (or adapt a simulated service clock), so instrumented
-//! runs produce bit-identical results — observability must never perturb
-//! determinism.
+//! [`ManualTime`], whose sleeps return instantly and whose reads only move
+//! when something advances it, so instrumented runs produce bit-identical
+//! results — observability must never perturb determinism. The serve
+//! runtime schedules its epochs on the same trait (re-exported there as
+//! `Clock`, `WallClock` and `SimClock`), so every span it records
+//! measures on the clock its scheduler runs on.
 
 use crate::histogram::Histogram;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A monotonic millisecond clock spans measure on.
 pub trait TimeSource: Send + Sync {
     /// Milliseconds since an arbitrary (per-source) origin.
     fn now_ms(&self) -> u64;
+
+    /// Blocks (or simulates blocking) for `ms` milliseconds.
+    fn sleep_ms(&self, ms: u64);
 }
 
-/// Real time, anchored at construction.
+/// Real time, anchored at construction: [`TimeSource::sleep_ms`] blocks
+/// the calling thread.
+#[derive(Debug)]
 pub struct WallTime {
     start: Instant,
 }
@@ -42,9 +50,14 @@ impl TimeSource for WallTime {
     fn now_ms(&self) -> u64 {
         self.start.elapsed().as_millis() as u64
     }
+
+    fn sleep_ms(&self, ms: u64) {
+        std::thread::sleep(Duration::from_millis(ms));
+    }
 }
 
-/// Test time: only moves when advanced. Deterministic.
+/// Simulated time: only moves when advanced, and sleeping advances it
+/// instantly. Deterministic — two runs see identical timestamps.
 #[derive(Debug, Default)]
 pub struct ManualTime {
     now: AtomicU64,
@@ -65,6 +78,10 @@ impl ManualTime {
 impl TimeSource for ManualTime {
     fn now_ms(&self) -> u64 {
         self.now.load(Ordering::Relaxed)
+    }
+
+    fn sleep_ms(&self, ms: u64) {
+        self.advance_ms(ms);
     }
 }
 
@@ -167,13 +184,15 @@ mod tests {
         assert_eq!(t.now_ms(), 0);
         t.advance_ms(40);
         assert_eq!(t.now_ms(), 40);
+        t.sleep_ms(250);
+        assert_eq!(t.now_ms(), 290, "sleeping advances manual time");
     }
 
     #[test]
     fn wall_time_moves() {
         let t = WallTime::new();
         let a = t.now_ms();
-        std::thread::sleep(std::time::Duration::from_millis(2));
+        t.sleep_ms(2);
         assert!(t.now_ms() > a);
     }
 

@@ -1,4 +1,4 @@
-//! Optimizers: Adam and plain SGD.
+//! The Adam optimizer.
 
 use crate::nn::Mlp;
 use serde::{Deserialize, Serialize};
@@ -113,8 +113,11 @@ impl Adam {
             .next()
             .and_then(|s| s.parse().ok())
             .ok_or("bad adam moment count")?;
-        let mut moments = Vec::with_capacity(2 * n);
-        for _ in 0..2 * n {
+        // The count never sizes an allocation: a crafted one must fail on
+        // the missing moments, not abort while reserving room for them.
+        let total = n.checked_mul(2).ok_or("adam moment count overflows")?;
+        let mut moments = Vec::new();
+        for _ in 0..total {
             moments.push(
                 it.next()
                     .and_then(|s| s.parse().ok())
@@ -137,35 +140,6 @@ impl Adam {
             m: moments,
             v,
         })
-    }
-}
-
-/// Plain SGD, useful as an ablation against Adam.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Sgd {
-    lr: f64,
-}
-
-impl Sgd {
-    /// Creates SGD with learning rate `lr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lr` is not positive.
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        Self { lr }
-    }
-
-    /// Applies one SGD step (gradients scaled by `1 / batch_size`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch_size == 0`.
-    pub fn step(&self, net: &mut Mlp, batch_size: usize) {
-        assert!(batch_size > 0, "batch size must be positive");
-        let scale = self.lr / batch_size as f64;
-        net.visit_params_mut(|_, w, g| *w -= scale * g);
     }
 }
 
@@ -205,13 +179,6 @@ mod tests {
             adam.step(net, bs);
         });
         assert!(mse < 1e-3, "Adam final MSE {mse}");
-    }
-
-    #[test]
-    fn sgd_fits_a_line_more_slowly() {
-        let sgd = Sgd::new(0.05);
-        let mse = train_regression(|net, bs| sgd.step(net, bs));
-        assert!(mse < 1e-2, "SGD final MSE {mse}");
     }
 
     #[test]
@@ -263,6 +230,8 @@ mod tests {
         assert!(Adam::from_text("adam 0.1 0.9 0.999 1e-8 3 2 0.0 0.0 0.0").is_err());
         assert!(Adam::from_text("adam nope 0.9 0.999 1e-8 0 0").is_err());
         assert!(Adam::from_text("adam -0.1 0.9 0.999 1e-8 0 0").is_err());
+        assert!(Adam::from_text("adam 0.1 0.9 0.999 1e-8 0 4611686018427387904").is_err());
+        assert!(Adam::from_text("adam 0.1 0.9 0.999 1e-8 0 18446744073709551615").is_err());
         let net = Mlp::new(&[1, 1], 0);
         let adam = Adam::new(&net, 0.01);
         let trailing = format!("{} 9.9", adam.to_text().trim_end());

@@ -7,24 +7,23 @@
 //! pieces live here, free of any ML dependency:
 //!
 //! * [`nn`] — dense MLP with explicit backpropagation (gradient-checked);
-//! * [`adam`] — Adam and SGD optimizers;
-//! * [`replay`] — bounded experience replay;
-//! * [`dqn`] — Double-DQN agent with target network and action masking;
-//! * [`qscore`] — Q-learning over action features (the dispatcher's
-//!   policy head: shared weights across destination zones).
+//! * [`adam`] — the Adam optimizer;
+//! * [`replay`] — the bounded experience-replay ring and its text form;
+//! * [`qscore`] — the dispatcher's DQN: Q-learning over `(team, zone)`
+//!   action features with shared weights across destination zones, a
+//!   replay ring and a target network. Its [`td_update`] is the one TD
+//!   rule every learner in the workspace trains with.
 
 #![warn(missing_docs)]
 
 pub mod adam;
-pub mod dqn;
 pub mod nn;
 pub mod persist;
 pub mod qscore;
 pub mod replay;
 
-pub use adam::{Adam, Sgd};
-pub use dqn::{DqnAgent, DqnConfig};
+pub use adam::Adam;
 pub use nn::{ForwardCache, Mlp};
 pub use persist::{mlp_from_text, mlp_to_text, ParseNetworkError};
-pub use qscore::{PairTransition, QScore, QScoreConfig};
-pub use replay::{pair_from_line, pair_to_line, PairReplay, ReplayBuffer, Transition};
+pub use qscore::{td_update, PairTransition, QScore, QScoreConfig};
+pub use replay::{pair_from_line, pair_to_line, PairReplay};

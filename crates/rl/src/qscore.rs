@@ -9,6 +9,7 @@
 
 use crate::adam::Adam;
 use crate::nn::Mlp;
+use crate::replay::PairReplay;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -80,8 +81,7 @@ pub struct QScore {
     online: Mlp,
     target: Mlp,
     adam: Adam,
-    replay: Vec<PairTransition>,
-    replay_next: usize,
+    replay: PairReplay,
     rng: StdRng,
     act_steps: u64,
     learn_steps: u64,
@@ -92,10 +92,11 @@ impl QScore {
     ///
     /// # Panics
     ///
-    /// Panics if `feature_dim` or `batch_size` is zero.
+    /// Panics if `feature_dim`, `batch_size` or `replay_capacity` is zero.
     pub fn new(config: QScoreConfig) -> Self {
         assert!(config.feature_dim > 0, "feature dimension must be positive");
         assert!(config.batch_size > 0, "batch size must be positive");
+        let replay = PairReplay::new(config.replay_capacity);
         let mut dims = vec![config.feature_dim];
         dims.extend_from_slice(&config.hidden);
         dims.push(1);
@@ -109,8 +110,7 @@ impl QScore {
             online,
             target,
             adam,
-            replay: Vec::new(),
-            replay_next: 0,
+            replay,
             rng,
             act_steps: 0,
             learn_steps: 0,
@@ -126,7 +126,8 @@ impl QScore {
     /// # Panics
     ///
     /// Panics if the network's input dimension differs from
-    /// `config.feature_dim` or its output is not a single score.
+    /// `config.feature_dim`, its output is not a single score, or
+    /// `config.replay_capacity` is zero.
     pub fn from_mlp(mut config: QScoreConfig, online: Mlp) -> Self {
         assert_eq!(
             online.input_dim(),
@@ -142,14 +143,14 @@ impl QScore {
         config.hidden = dims[1..dims.len() - 1].to_vec();
         let target = online.clone();
         let adam = Adam::new(&online, config.lr);
+        let replay = PairReplay::new(config.replay_capacity);
         let rng = StdRng::seed_from_u64(config.seed ^ 0x7173_636f_7265);
         Self {
             config,
             online,
             target,
             adam,
-            replay: Vec::new(),
-            replay_next: 0,
+            replay,
             rng,
             act_steps: 0,
             learn_steps: 0,
@@ -213,12 +214,7 @@ impl QScore {
 
     /// Stores a transition (ring buffer).
     pub fn store(&mut self, t: PairTransition) {
-        if self.replay.len() < self.config.replay_capacity {
-            self.replay.push(t);
-        } else {
-            self.replay[self.replay_next] = t;
-            self.replay_next = (self.replay_next + 1) % self.config.replay_capacity;
-        }
+        self.replay.push(t);
     }
 
     /// Stores and, once warmed up, learns. Returns the TD loss if a step
@@ -229,34 +225,22 @@ impl QScore {
             .then(|| self.learn_step())
     }
 
-    /// One minibatch TD step; returns the mean squared TD error.
+    /// One minibatch TD step ([`td_update`] on a uniform replay sample);
+    /// returns the mean squared TD error.
     ///
     /// # Panics
     ///
     /// Panics if nothing has been stored yet.
     pub fn learn_step(&mut self) -> f64 {
         assert!(!self.replay.is_empty(), "nothing to learn from");
-        let bs = self.config.batch_size;
-        self.online.zero_grad();
-        let mut loss = 0.0;
-        for _ in 0..bs {
-            let t = self.replay[self.rng.random_range(0..self.replay.len())].clone();
-            let target_q = if t.next_candidates.is_empty() {
-                t.reward
-            } else {
-                let best_next = t
-                    .next_candidates
-                    .iter()
-                    .map(|c| self.target.predict(c)[0])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                t.reward + self.config.gamma * best_next
-            };
-            let cache = self.online.forward(&t.features);
-            let err = cache.output()[0] - target_q;
-            loss += err * err;
-            self.online.backward(&cache, &[err]);
-        }
-        self.adam.step(&mut self.online, bs);
+        let batch = self.replay.sample(&mut self.rng, self.config.batch_size);
+        let loss = td_update(
+            &mut self.online,
+            &self.target,
+            &mut self.adam,
+            self.config.gamma,
+            &batch,
+        );
         self.learn_steps += 1;
         if self
             .learn_steps
@@ -264,7 +248,7 @@ impl QScore {
         {
             self.target.copy_params_from(&self.online);
         }
-        loss / bs as f64
+        loss
     }
 
     /// Learning steps performed so far.
@@ -276,6 +260,45 @@ impl QScore {
     pub fn act_steps(&self) -> u64 {
         self.act_steps
     }
+}
+
+/// One minibatch DQN update: regresses `online`'s score of each chosen
+/// pair toward `r + γ·max_c target(c)` over the next state's candidates
+/// (`r` alone when there are none), then applies one Adam step. Returns
+/// the batch's mean squared TD error. Shared by [`QScore::learn_step`] and
+/// the serve runtime's online trainer; callers own batch sampling and the
+/// target-sync cadence.
+///
+/// # Panics
+///
+/// Panics if `batch` is empty or `adam` was built for another network.
+pub fn td_update(
+    online: &mut Mlp,
+    target: &Mlp,
+    adam: &mut Adam,
+    gamma: f64,
+    batch: &[&PairTransition],
+) -> f64 {
+    online.zero_grad();
+    let mut loss = 0.0;
+    for t in batch {
+        let target_q = if t.next_candidates.is_empty() {
+            t.reward
+        } else {
+            let best_next = t
+                .next_candidates
+                .iter()
+                .map(|c| target.predict(c)[0])
+                .fold(f64::NEG_INFINITY, f64::max);
+            t.reward + gamma * best_next
+        };
+        let cache = online.forward(&t.features);
+        let err = cache.output()[0] - target_q;
+        loss += err * err;
+        online.backward(&cache, &[err]);
+    }
+    adam.step(online, batch.len());
+    loss / batch.len() as f64
 }
 
 #[cfg(test)]

@@ -63,7 +63,6 @@
 
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod error;
 pub mod event;
 pub mod fault;
@@ -77,12 +76,16 @@ mod shard;
 pub mod trainer;
 pub mod wal;
 
-pub use clock::{Clock, ClockTimeSource, SimClock, WallClock};
 pub use error::ServeError;
 pub use event::Event;
 pub use fault::{FaultHooks, ShardFault, TrainerFault, WalFault};
 pub use metrics::{LatencyHistogram, MetricsSnapshot, ShardMetrics, LATENCY_BOUNDS_MS};
 pub use mobirescue_obs as obs;
+/// The service clock is the observability time source under its serve
+/// names: the scheduler sleeps on it and every span measures on it, so
+/// under a [`SimClock`] all span durations are exactly zero and
+/// instrumented runs stay bit-identical to uninstrumented ones.
+pub use mobirescue_obs::{ManualTime as SimClock, TimeSource as Clock, WallTime as WallClock};
 pub use queue::{BoundedQueue, ShedPolicy};
 pub use registry::{ModelBundle, ModelRegistry};
 pub use rollout::{

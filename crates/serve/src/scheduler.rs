@@ -1,9 +1,9 @@
 //! The epoch scheduler: drives [`DispatchService::run_epoch`] on the
 //! paper's dispatch period against a pluggable [`Clock`].
 
-use crate::clock::Clock;
 use crate::error::ServeError;
 use crate::service::DispatchService;
+use crate::Clock;
 use mobirescue_sim::EpochReport;
 
 /// Runs the dispatch tick every `period_ms` of clock time.

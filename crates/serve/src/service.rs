@@ -3,7 +3,6 @@
 //! harness (bounded ingestion retry, shard crash-restart from the last
 //! boundary checkpoint).
 
-use crate::clock::{Clock, ClockTimeSource};
 use crate::error::ServeError;
 use crate::event::Event;
 use crate::fault::{FaultHooks, TrainerFault, WalFault};
@@ -19,10 +18,11 @@ use crate::shard::{
 };
 use crate::trainer::{Trainer, TrainerConfig, TrainerObs, TrainerStatus};
 use crate::wal::{FsyncPolicy, Wal, WalConfig, WalEntry, WalError};
+use crate::Clock;
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::RlDispatchConfig;
 use mobirescue_core::scenario::Scenario;
-use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry, TimeSource};
+use mobirescue_obs::{Counter, Histogram, Level, ObsSnapshot, Registry};
 use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
 use mobirescue_rl::PairTransition;
 use mobirescue_roadnet::graph::SegmentId;
@@ -34,6 +34,10 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
+/// Capacity of the shared weather/road-damage advisory queue (the oldest
+/// advisory is evicted when full).
+const ADVISORY_QUEUE_CAPACITY: usize = 256;
+
 /// Configuration of a [`DispatchService`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -41,8 +45,6 @@ pub struct ServeConfig {
     pub num_shards: usize,
     /// Capacity of each shard's request ingest queue.
     pub request_queue_capacity: usize,
-    /// Capacity of the shared weather/road-damage advisory queue.
-    pub advisory_queue_capacity: usize,
     /// Per-shard simulation settings (the dispatch period is the paper's
     /// 5-minute tick).
     pub sim: SimConfig,
@@ -93,7 +95,6 @@ impl ServeConfig {
         Self {
             num_shards: 1,
             request_queue_capacity: 1_024,
-            advisory_queue_capacity: 256,
             sim,
             rl: RlDispatchConfig::default(),
             faults: None,
@@ -256,32 +257,10 @@ impl DispatchService {
             })
             .collect();
         let advisories = Arc::new(BoundedQueue::new(
-            config.advisory_queue_capacity,
+            ADVISORY_QUEUE_CAPACITY,
             ShedPolicy::DropOldest,
         ));
         let obs = config.obs.clone().unwrap_or_default();
-        let make_spec = |scenario: &Arc<Scenario>| ShardSpec {
-            scenario: Arc::clone(scenario),
-            registry: Arc::clone(&registry),
-            clock: Arc::clone(&clock),
-            sim: config.sim.clone(),
-            rl: config.rl.clone(),
-            faults: config.faults.clone(),
-            obs: Arc::clone(&obs),
-            tap_transitions: config.trainer.is_some(),
-        };
-        let shards = (0..config.num_shards)
-            .map(|i| {
-                let (cmd_tx, cmd_rx) = channel();
-                let (reply_tx, reply_rx) = channel();
-                let join = spawn_shard(i, make_spec(&scenario), cmd_rx, reply_tx);
-                Mutex::new(ShardHandle {
-                    tx: cmd_tx,
-                    rx: reply_rx,
-                    join: Some(join),
-                })
-            })
-            .collect();
         let state = ServiceState {
             epochs_completed: 0,
             histogram: LatencyHistogram::new(),
@@ -314,18 +293,18 @@ impl DispatchService {
                 checkpoint,
             }
         });
-        let trainer_obs = config.trainer.is_some().then(|| {
-            let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&clock)));
-            TrainerObs::new(&obs, time)
-        });
-        Ok(Self {
+        let trainer_obs = config
+            .trainer
+            .is_some()
+            .then(|| TrainerObs::new(&obs, Arc::clone(&clock)));
+        let mut svc = Self {
             config,
             scenario,
             registry,
             clock,
             request_queues,
             advisories,
-            shards,
+            shards: Vec::new(),
             checkpoints: Mutex::new(checkpoints),
             obs,
             retries,
@@ -347,7 +326,12 @@ impl DispatchService {
             trainer_obs,
             wal: Mutex::new(None),
             state: Mutex::new(state),
-        })
+        };
+        let shards = (0..svc.config.num_shards)
+            .map(|i| Mutex::new(svc.spawn_worker(i)))
+            .collect();
+        svc.shards = shards;
+        Ok(svc)
     }
 
     /// Opens the journal from `config.wal` (no-op when unset) and replays
@@ -358,8 +342,7 @@ impl DispatchService {
         let Some(cfg) = self.config.wal.clone() else {
             return Ok(());
         };
-        let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&self.clock)));
-        let (mut wal, recovery) = Wal::open(cfg, &self.obs, time)?;
+        let (mut wal, recovery) = Wal::open(cfg, &self.obs, Arc::clone(&self.clock))?;
         if let Some(WalError::TornTail { segment, offset }) = &recovery.torn {
             self.obs.events().log(
                 Level::Warn,
@@ -527,8 +510,10 @@ impl DispatchService {
         lock(&self.shards[i])
     }
 
-    fn shard_spec(&self) -> ShardSpec {
-        ShardSpec {
+    /// Spawns worker `i` on a fresh channel pair — at start and on
+    /// crash-restart alike, so both build the same [`ShardSpec`].
+    fn spawn_worker(&self, i: usize) -> ShardHandle {
+        let spec = ShardSpec {
             scenario: Arc::clone(&self.scenario),
             registry: Arc::clone(&self.registry),
             clock: Arc::clone(&self.clock),
@@ -537,6 +522,13 @@ impl DispatchService {
             faults: self.config.faults.clone(),
             obs: Arc::clone(&self.obs),
             tap_transitions: self.config.trainer.is_some(),
+        };
+        let (cmd_tx, cmd_rx) = channel();
+        let (reply_tx, reply_rx) = channel();
+        ShardHandle {
+            tx: cmd_tx,
+            rx: reply_rx,
+            join: Some(spawn_shard(i, spec, cmd_rx, reply_tx)),
         }
     }
 
@@ -1061,11 +1053,7 @@ impl DispatchService {
             if let Some(join) = h.join.take() {
                 let _ = join.join();
             }
-            let (cmd_tx, cmd_rx) = channel();
-            let (reply_tx, reply_rx) = channel();
-            h.join = Some(spawn_shard(i, self.shard_spec(), cmd_rx, reply_tx));
-            h.tx = cmd_tx;
-            h.rx = reply_rx;
+            *h = self.spawn_worker(i);
         }
         let checkpoint = lock(&self.checkpoints)[i].clone();
         if let Some(text) = checkpoint {
@@ -1098,8 +1086,7 @@ impl DispatchService {
 
     /// Takes a post-epoch checkpoint of every shard for crash recovery.
     fn checkpoint_shards(&self) -> Result<(), ServeError> {
-        let ts = ClockTimeSource(Arc::clone(&self.clock));
-        let _span = self.snapshot_hist.time(&ts);
+        let _span = self.snapshot_hist.time(self.clock.as_ref());
         for i in 0..self.shards.len() {
             self.shard(i)
                 .tx
@@ -1494,8 +1481,7 @@ impl DispatchService {
     ///
     /// Returns [`ServeError::Shard`] when a worker cannot serialize.
     pub fn snapshot(&self) -> Result<String, ServeError> {
-        let ts = ClockTimeSource(Arc::clone(&self.clock));
-        let _span = self.snapshot_hist.time(&ts);
+        let _span = self.snapshot_hist.time(self.clock.as_ref());
         // Capture the journal high-water mark AND the queue contents in
         // ONE journal critical section, before taking the state lock (wal
         // and state locks are never held together). Every journaled push

@@ -33,9 +33,9 @@
 //! injected stall on one shard must not leak into its neighbours'
 //! deadline decisions.
 
-use crate::clock::{Clock, ClockTimeSource};
 use crate::fault::{FaultHooks, ShardFault};
 use crate::registry::{ModelBundle, ModelRegistry};
+use crate::Clock;
 use mobirescue_core::predictor::RequestPredictor;
 use mobirescue_core::rl_dispatch::{MobiRescueDispatcher, RlDispatchConfig, FEATURE_DIM};
 use mobirescue_core::scenario::Scenario;
@@ -264,7 +264,7 @@ fn run_shard(index: usize, spec: ShardSpec, rx: &Receiver<ShardCmd>, tx: &Sender
     // Phase spans measure on the *service* clock, like everything else the
     // worker times: under a SimClock every span is exactly zero, so
     // instrumented runs stay bit-identical to uninstrumented ones.
-    let time_source: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(Arc::clone(&spec.clock)));
+    let time_source: Arc<dyn TimeSource> = Arc::clone(&spec.clock);
     let phase_timer = PhaseTimer::new(Arc::clone(&time_source));
     let obs = Arc::clone(&spec.obs);
     let h_ingest = obs.histogram("epoch.ingest_ms");

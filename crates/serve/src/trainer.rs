@@ -8,13 +8,13 @@
 //! backpressure discipline as request ingestion: a slow trainer sheds
 //! training data, never dispatch throughput. Once per epoch the trainer
 //! drains the queue into a capacity-bounded replay ring and runs a fixed
-//! number of seeded mini-batch DQN updates (the exact TD rule the offline
-//! `QScore` learner uses: pairwise candidate scoring, target network,
-//! Adam). Every `candidate_every` epochs it emits its online network as a
-//! candidate checkpoint — which the service routes through
-//! [`crate::DispatchService::submit_rollout`], so a self-trained model is
-//! admission-probed, shadow-evaluated, canaried and auto-rolled-back
-//! exactly like one delivered from outside.
+//! number of seeded mini-batch DQN updates (`mobirescue_rl::td_update`,
+//! the TD rule the offline `QScore` learner also calls: pairwise
+//! candidate scoring, target network, Adam). Every `candidate_every`
+//! epochs it emits its online network as a candidate checkpoint — which
+//! the service routes through [`crate::DispatchService::submit_rollout`],
+//! so a self-trained model is admission-probed, shadow-evaluated,
+//! canaried and auto-rolled-back exactly like one delivered from outside.
 //!
 //! # Determinism contract
 //!
@@ -32,7 +32,7 @@ use mobirescue_core::rl_dispatch::FEATURE_DIM;
 use mobirescue_obs::{Counter, Histogram, Registry, TimeSource};
 use mobirescue_rl::nn::Mlp;
 use mobirescue_rl::persist::{mlp_from_text, mlp_to_text};
-use mobirescue_rl::qscore::PairTransition;
+use mobirescue_rl::qscore::{td_update, PairTransition};
 use mobirescue_rl::replay::{pair_from_line, pair_to_line, PairReplay};
 use mobirescue_rl::Adam;
 use rand::rngs::StdRng;
@@ -218,42 +218,24 @@ impl Trainer {
         })
     }
 
-    /// One seeded mini-batch TD update (the `QScore` rule: pairwise
-    /// candidate max over the target net); returns the mean squared TD
-    /// error. The batch RNG is derived from `(seed, steps)` alone, so a
-    /// restored trainer samples identically to one that never stopped.
+    /// One seeded mini-batch TD update ([`td_update`], the `QScore`
+    /// rule); returns the mean squared TD error. The batch RNG is derived
+    /// from `(seed, steps)` alone, so a restored trainer samples
+    /// identically to one that never stopped.
     fn learn_step(&mut self) -> f64 {
         let mut rng = StdRng::seed_from_u64(
             self.config.seed
                 ^ 0x7472_6169_6e00_0000u64
                 ^ self.steps.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         );
-        let batch_size = self.config.batch_size.max(1);
-        let batch: Vec<PairTransition> = self
-            .replay
-            .sample(&mut rng, batch_size)
-            .into_iter()
-            .cloned()
-            .collect();
-        self.online.zero_grad();
-        let mut loss = 0.0;
-        for t in &batch {
-            let target_q = if t.next_candidates.is_empty() {
-                t.reward
-            } else {
-                let best = t
-                    .next_candidates
-                    .iter()
-                    .map(|c| self.target.predict(c)[0])
-                    .fold(f64::NEG_INFINITY, f64::max);
-                t.reward + self.config.gamma * best
-            };
-            let cache = self.online.forward(&t.features);
-            let err = cache.output()[0] - target_q;
-            loss += err * err;
-            self.online.backward(&cache, &[err]);
-        }
-        self.adam.step(&mut self.online, batch_size);
+        let batch = self.replay.sample(&mut rng, self.config.batch_size.max(1));
+        let loss = td_update(
+            &mut self.online,
+            &self.target,
+            &mut self.adam,
+            self.config.gamma,
+            &batch,
+        );
         self.steps += 1;
         if self
             .steps
@@ -261,7 +243,7 @@ impl Trainer {
         {
             self.target.copy_params_from(&self.online);
         }
-        loss / batch_size as f64
+        loss
     }
 
     /// The current online network's checkpoint text (what the next
@@ -397,12 +379,11 @@ impl Trainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::{Clock, ClockTimeSource, SimClock};
+    use crate::SimClock;
 
     fn test_obs() -> (Arc<Registry>, TrainerObs) {
         let registry = Arc::new(Registry::new());
-        let clock: Arc<dyn Clock> = Arc::new(SimClock::new());
-        let time: Arc<dyn TimeSource> = Arc::new(ClockTimeSource(clock));
+        let time: Arc<dyn TimeSource> = Arc::new(SimClock::new());
         let obs = TrainerObs::new(&registry, time);
         (registry, obs)
     }

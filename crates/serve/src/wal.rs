@@ -680,19 +680,13 @@ fn scan_segment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobirescue_obs::Registry;
+    use mobirescue_obs::{ManualTime, Registry};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// A fixed time source: span timers record zeros, deterministically.
-    struct Frozen;
-    impl TimeSource for Frozen {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
-
+    /// A time source nothing advances: span timers record zeros,
+    /// deterministically.
     fn time() -> Arc<dyn TimeSource> {
-        Arc::new(Frozen)
+        Arc::new(ManualTime::new())
     }
 
     /// A unique scratch dir per call, cleaned before use.

@@ -36,6 +36,10 @@ run_step "tier-1 build" cargo build --release
 # (tests/{chaos,rollout_chaos,trainer_chaos,net_chaos,wal_chaos}.rs).
 run_step "tier-1 tests" cargo test -q
 run_step "net crate tests" cargo test -q -p mobirescue-net
+# perfbench is its own workspace with a committed lockfile: --locked fails
+# as soon as a workspace change would rewrite perfbench/Cargo.lock, and the
+# check fails on any workspace API perfbench calls that no longer exists.
+run_step "perfbench check" cargo check --locked --offline --manifest-path perfbench/Cargo.toml
 # Scale gate only (routing/serve gates have their own CI jobs); medium
 # preset with a loosened ceiling — verify machines vary more than the
 # bless machine, and the exact checksum is the load-bearing part.
